@@ -78,16 +78,34 @@ def _recipe_from_path(path: str):
 
 
 def _threads(args) -> int | None:
+    """Validated thread count; accepted for later use, no effect on the search today."""
     if args.threads is not None:
-        return args.threads
-    env = os.environ.get("TORICODE_THREADS", "").strip()
-    return int(env) if env else None
+        threads, source = args.threads, "--threads"
+    else:
+        env = os.environ.get("TORICODE_THREADS", "").strip()
+        if not env:
+            return None
+        try:
+            threads = int(env)
+        except ValueError as exc:
+            raise CliError(f"TORICODE_THREADS must be an integer, got {env!r}") from exc
+        source = "TORICODE_THREADS"
+    if threads < 1:
+        raise CliError(f"{source} must be at least 1, got {threads}")
+    return threads
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -106,10 +124,9 @@ def cmd_build(args) -> int:
         f"q={field.q} n={code.n} k={code.k} N={code.block_length}",
     ]
     if args.emit_generator:
-        with open(args.emit_generator, "w", encoding="utf-8") as fh:
-            fh.write(f"{field.q} {code.n} {code.k} {code.block_length}\n")
-            for row in code.generator:
-                fh.write(" ".join(str(int(v)) for v in row) + "\n")
+        rows = [f"{field.q} {code.n} {code.k} {code.block_length}"]
+        rows += [" ".join(str(int(v)) for v in row) for row in code.generator]
+        _write(args.emit_generator, "\n".join(rows) + "\n")
         lines.append(f"generator written to {args.emit_generator}")
     _emit(args, "\n".join(lines) + "\n")
     return 0
@@ -120,7 +137,7 @@ def cmd_mindist(args) -> int:
     poly, _ = _polytope_from_args(args)
     code = build_code(poly, field)
     result = min_distance(
-        code, method=args.method, budget=args.budget, threads=_threads(args)
+        code, method=args.method, budget=args.budget, threads=args.threads
     )
     witness = ",".join(str(int(c)) for c in result.witness)
     _emit(
@@ -142,7 +159,7 @@ def cmd_verify(args) -> int:
     poly = realize_recipe(recipe)
     code = build_code(poly, field)
     result = min_distance(
-        code, method=args.method, budget=args.budget, threads=_threads(args)
+        code, method=args.method, budget=args.budget, threads=args.threads
     )
     status = "PASS" if (result.exact and result.d == formula) else "FAIL"
     _emit(
@@ -213,7 +230,7 @@ def cmd_examples(args) -> int:
         field = parse_field(field_text)
         code = build_code(_bundled_polytope(poly_name), field)
         result = min_distance(
-            code, method=method, budget=args.budget, threads=_threads(args)
+            code, method=method, budget=args.budget, threads=args.threads
         )
         got = (code.block_length, code.k, result.d)
         status = "PASS" if (got == expected and result.exact) else "FAIL"
@@ -244,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
         if field:
             p.add_argument("--field", required=True, help="field size: p or p^m, e.g. 5 or 2^3")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: TORICODE_THREADS or all cores)")
+                       help="worker threads, at least 1 (default: TORICODE_THREADS); "
+                            "accepted but no effect yet: the search is single-threaded")
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                        help="search budget in codeword-symbol operations")
         p.add_argument("--out", default=None, help="write the report to a file")
@@ -291,6 +309,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if hasattr(args, "threads"):
+            args.threads = _threads(args)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

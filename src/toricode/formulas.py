@@ -238,7 +238,6 @@ def params_report(
     method: str = "auto",
     budget: int = DEFAULT_BUDGET,
     threads: int | None = None,
-    backend: str | None = None,
 ) -> CodeParams:
     """Assemble CodeParams for a recipe (formula d) or a polytope (search d)."""
     q = field.q
@@ -263,9 +262,7 @@ def params_report(
         )
     if isinstance(obj, LatticePolytope):
         code = build_code(obj, field)
-        result = min_distance(
-            code, method=method, budget=budget, threads=threads, backend=backend
-        )
+        result = min_distance(code, method=method, budget=budget, threads=threads)
         n_block = code.block_length
         return CodeParams(
             N=n_block,
@@ -283,13 +280,10 @@ def verify_recipe(
     field: FieldSpec,
     budget: int = DEFAULT_BUDGET,
     threads: int | None = None,
-    backend: str | None = None,
 ):
     """Formula vs search on the realized polytope. Returns (formula, search)."""
     formula = d_recipe(recipe, field.q)
     poly = realize_recipe(recipe)
     code = build_code(poly, field)
-    result = min_distance(
-        code, method="auto", budget=budget, threads=threads, backend=backend
-    )
+    result = min_distance(code, method="auto", budget=budget, threads=threads)
     return formula, result

@@ -1,67 +1,59 @@
-"""Codeword-enumeration kernels: numba-accelerated with pure-numpy twins.
+"""Codeword-enumeration kernels: one comparison-based numpy kernel per search.
 
-Both backends walk the same enumeration order and return identical results,
-including tie-breaking (first index attaining the minimum weight). The
-backend is chosen by the TORICODE_BACKEND environment variable ("numba" or
-"numpy"); default is numba when importable.
+The comparison identity
+-----------------------
+Every message a kernel scans is written as a head h plus a row b of a shared
+block, both vectors of length N over GF(q) stored as uint8 element codes.
+Symbol t of h + b is zero exactly when b_t = -h_t, because -h_t is the one
+additive inverse of h_t in the additive group of GF(p^m). So
 
-Enumeration order for the exhaustive scan: messages are projectively
-normalized (first nonzero coefficient = 1) and ordered by the position of
-that leading coefficient, then lexicographically by the remaining digits
-(last digit fastest). Consecutive messages differ in few digits, so each
-step costs a handful of scaled-row additions instead of a full k x N
-product.
+    weight(h + b) = #{t : b_t != -h_t},
+
+one uint8 comparison of the block against the negated head `neg[h]`
+(`neg = sub_t[0]`) followed by a sum over symbols. The identity uses nothing
+but the group law, so it is exact over every field the kernels accept
+(q <= 256, any p and m) and does no field arithmetic. The addition table
+`add_t` is used only to build the blocks and the heads, which hold a small
+fraction of the symbols compared. Blocks and heads are stored symbol-major,
+(N, rows), so the sum over symbols adds contiguous planes.
+
+Enumeration order and tie-break
+-------------------------------
+Exhaustive scan: messages are projectively normalized (first nonzero
+coefficient = 1) and ordered by the position of that leading coefficient,
+then lexicographically by the remaining digits 0..q-1 (last digit fastest).
+The block holds every digit combination of the last t rows, so message
+index = base(lead) + head index * q^t + block row.
+
+ISD level scan: for each support (rows r_0 < ... < r_{w-1}) the value on
+r_0 is 1 and the values on r_1..r_{w-1} run over 1..q-1 lexicographically
+(last fastest); the pattern index is that mixed-radix number.
+
+Both kernels return the minimum weight and the first index attaining it,
+compared as (weight, index), so results do not depend on block or step
+sizes. `work_count` in `mindist` is computed from the message counts.
+
+Prefix batching (ISD)
+---------------------
+A support splits into a prefix and a suffix of s rows: s = 2 (a row pair)
+from level 3 on when the table of every pair's (q-1)^2 value patterns is
+small, else s = 1. Supports arrive in `combinations` order, so those sharing
+a prefix are contiguous. Their heads (value 1 on r_0, every pattern on the
+rest of the prefix) are built once and compared against the suffix patterns
+of every support in the group at once. Pattern index = head index *
+(q-1)^s + suffix pattern, so a per-support argmin over heads (outer) and
+suffix patterns (inner) recovers the first minimum.
 """
 
 from __future__ import annotations
 
-import os
-from itertools import product as _iproduct
+from itertools import product
 
 import numpy as np
 
-os.environ.setdefault("NUMBA_THREADING_LAYER", "workqueue")
-
-try:
-    import numba
-    from numba import njit, prange
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-ENV_BACKEND = "TORICODE_BACKEND"
-_BLOCK_CAP = 1 << 16  # rows per vectorized block in the numpy twins
-_CHUNK = 1 << 15      # messages per parallel task in the numba path
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("numba", "numpy") if HAS_NUMBA else ("numpy",)
-
-
-def default_backend() -> str:
-    env = os.environ.get(ENV_BACKEND, "").strip().lower()
-    if env:
-        return resolve_backend(env)
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-def resolve_backend(name: str | None) -> str:
-    if name is None:
-        return default_backend()
-    name = name.lower()
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}; use 'numba' or 'numpy'")
-    if name == "numba" and not HAS_NUMBA:
-        raise ValueError("numba backend requested but numba is not importable")
-    return name
-
-
-def set_num_threads(threads: int | None) -> None:
-    if threads is None or not HAS_NUMBA:
-        return
-    limit = numba.config.NUMBA_NUM_THREADS
-    numba.set_num_threads(max(1, min(int(threads), limit)))
+# symbols compared per vectorised step; also caps the exhaustive blocks and
+# the ISD pair table
+_STEP_SYMBOLS = 1 << 20
 
 
 def scaled_rows(spec, generator: np.ndarray) -> np.ndarray:
@@ -73,249 +65,125 @@ def scaled_rows(spec, generator: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(table.astype(np.uint8))
 
 
-# ---------------------------------------------------------------------------
-# numba kernels
-# ---------------------------------------------------------------------------
+def _add(add_t, a, b):
+    """a + b over GF(q), one lookup per symbol in the flattened addition table.
 
-if HAS_NUMBA:
-
-    @njit(cache=True, parallel=True)
-    def _exhaustive_scan_numba(scaled, add_t, sub_t, tasks, out_w, out_idx):
-        k = scaled.shape[0]
-        q = scaled.shape[1]
-        n_cols = scaled.shape[2]
-        for ti in prange(tasks.shape[0]):
-            lead = tasks[ti, 0]
-            start = tasks[ti, 1]
-            stop = tasks[ti, 2]
-            free = k - 1 - lead
-            digits = np.zeros(free, np.int64)
-            rem = start
-            for i in range(free - 1, -1, -1):
-                digits[i] = rem % q
-                rem //= q
-            c = scaled[lead, 1].copy()
-            for i in range(free):
-                dv = digits[i]
-                if dv != 0:
-                    row = lead + 1 + i
-                    for t in range(n_cols):
-                        c[t] = add_t[c[t], scaled[row, dv, t]]
-            best_w = n_cols + 1
-            best_j = np.int64(-1)
-            j = start
-            while True:
-                wt = 0
-                for t in range(n_cols):
-                    if c[t] != 0:
-                        wt += 1
-                if wt < best_w:
-                    best_w = wt
-                    best_j = j
-                j += 1
-                if j >= stop:
-                    break
-                pos = free - 1
-                while True:
-                    old = digits[pos]
-                    new = old + 1
-                    if new == q:
-                        new = 0
-                    digits[pos] = new
-                    d = sub_t[new, old]
-                    row = lead + 1 + pos
-                    for t in range(n_cols):
-                        c[t] = add_t[c[t], scaled[row, d, t]]
-                    if new != 0:
-                        break
-                    pos -= 1
-            out_w[ti] = best_w
-            out_idx[ti] = best_j
-
-    @njit(cache=True, parallel=True)
-    def _isd_level_numba(scaled, add_t, sub_t, supports, pivot_rows, out_w, out_idx):
-        n_sup, w = supports.shape
-        q = scaled.shape[1]
-        n_cols = scaled.shape[2]
-        total = np.int64(1)
-        for _ in range(w - 1):
-            total *= q - 1
-        for si in prange(n_sup):
-            sup = supports[si]
-            hits = 0
-            for i in range(w):
-                if sup[i] < pivot_rows:
-                    hits += 1
-            c = scaled[sup[0], 1].copy()
-            for i in range(1, w):
-                for t in range(n_cols):
-                    c[t] = add_t[c[t], scaled[sup[i], 1, t]]
-            vals = np.ones(w, np.int64)
-            best_w = n_cols + w + 1
-            best_j = np.int64(-1)
-            j = np.int64(0)
-            while True:
-                wt = hits
-                for t in range(n_cols):
-                    if c[t] != 0:
-                        wt += 1
-                if wt < best_w:
-                    best_w = wt
-                    best_j = j
-                j += 1
-                if j >= total:
-                    break
-                pos = w - 1
-                while True:
-                    old = vals[pos]
-                    new = old + 1
-                    if new == q:
-                        new = 1
-                    vals[pos] = new
-                    d = sub_t[new, old]
-                    for t in range(n_cols):
-                        c[t] = add_t[c[t], scaled[sup[pos], d, t]]
-                    if new != 1:
-                        break
-                    pos -= 1
-            out_w[si] = best_w
-            out_idx[si] = best_j
-
-
-# ---------------------------------------------------------------------------
-# numpy twins
-# ---------------------------------------------------------------------------
-
-def _expand_blocks(scaled, rows, add_t, lo, cap=_BLOCK_CAP):
-    """Yield (offset, block) chunks of all digit combinations over `rows`.
-
-    Each row's digit runs over lo..q-1; combinations are ordered with the
-    first row most significant. Blocks arrive in ascending offset order.
+    The index a * q + b stays below 2^16 because q <= 256.
     """
-    q = scaled.shape[1]
-    n_cols = scaled.shape[2]
-    if not rows:
-        yield 0, np.zeros((1, n_cols), dtype=np.uint8)
-        return
-    vals = q - lo
-    t = 1
-    while t < len(rows) and vals ** (t + 1) <= cap:
-        t += 1
-    tail = rows[-t:]
-    block = scaled[tail[0], lo:q, :]
-    for row in tail[1:]:
-        block = add_t[block[:, None, :], scaled[row, lo:q, :][None, :, :]]
-        block = block.reshape(-1, n_cols)
-    head = rows[:-t]
-    if not head:
-        yield 0, block
-        return
-    span = block.shape[0]
-    for combo_idx, combo in enumerate(_iproduct(range(lo, q), repeat=len(head))):
-        head_cw = np.zeros(n_cols, dtype=np.uint8)
-        for row, val in zip(head, combo):
-            if val:
-                head_cw = add_t[head_cw, scaled[row, val]]
-        yield combo_idx * span, add_t[head_cw[None, :], block]
+    return np.take(add_t.ravel(), a.astype(np.uint16) * add_t.shape[0] + b)
 
 
-def _exhaustive_scan_numpy(scaled, add_t, q, max_messages):
-    k, _, n_cols = scaled.shape
-    best_w = n_cols + 1
-    best_idx = -1
-    base = 0
-    for lead in range(k):
-        if base >= max_messages:
-            break
-        count = min(q ** (k - 1 - lead), max_messages - base)
-        lead_row = scaled[lead, 1]
-        for off, blk in _expand_blocks(scaled, list(range(lead + 1, k)), add_t, 0):
-            if off >= count:
-                break
-            take = min(blk.shape[0], count - off)
-            cw = add_t[lead_row[None, :], blk[:take]]
-            weights = np.count_nonzero(cw, axis=1)
-            wmin = int(weights.min())
-            if wmin < best_w:
-                best_w = wmin
-                best_idx = base + off + int(np.argmin(weights))
-        base += q ** (k - 1 - lead)
-    return best_w, best_idx
+def _weights(block, neg_heads, acc):
+    """weights[i, j] = #{t : block[t, j] != neg_heads[t, i]}.
+
+    Both operands are symbol-major, (N, rows): the sum over symbols then adds
+    whole contiguous planes, which numpy vectorises, instead of reducing
+    short rows one by one. `acc` is the narrowest unsigned dtype holding N,
+    the largest possible weight, so the narrow sum is exact.
+    """
+    return (block[:, None, :] != neg_heads[:, :, None]).sum(axis=0, dtype=acc)
 
 
-def _isd_level_numpy(scaled, add_t, supports, pivot_rows):
-    n_sup, w = supports.shape
-    n_cols = scaled.shape[2]
-    out_w = np.empty(n_sup, dtype=np.int64)
-    out_idx = np.empty(n_sup, dtype=np.int64)
-    for si in range(n_sup):
-        sup = supports[si]
-        hits = int(np.sum(sup < pivot_rows))
-        base = scaled[sup[0], 1]
-        best_w = n_cols + w + 1
-        best_j = -1
-        for off, blk in _expand_blocks(scaled, [int(r) for r in sup[1:]], add_t, 1):
-            cw = add_t[base[None, :], blk]
-            weights = hits + np.count_nonzero(cw, axis=1)
-            wmin = int(weights.min())
-            if wmin < best_w:
-                best_w = wmin
-                best_j = off + int(np.argmin(weights))
-        out_w[si] = best_w
-        out_idx[si] = best_j
-    return out_w, out_idx
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-def exhaustive_scan(scaled, add_t, sub_t, q, max_messages, backend=None):
+def exhaustive_scan(scaled, add_t, sub_t, q, max_messages):
     """Minimum weight over the first max_messages normalized messages.
 
     Returns (weight, enumeration_index); the index is the first one attaining
-    the minimum, identically for both backends and any thread count.
+    the minimum.
     """
-    backend = resolve_backend(backend)
-    if backend == "numpy":
-        return _exhaustive_scan_numpy(scaled, add_t, q, max_messages)
-    k = scaled.shape[0]
-    tasks = []
-    offsets = []
+    k, _, n_cols = scaled.shape
+    neg = sub_t[0]
+    acc = np.min_scalar_type(n_cols)
+    # blocks[t]: (N, q^t), every digit combination of the last t rows, first
+    # row most significant; built once and shared by every lead
+    blocks = [np.zeros((n_cols, 1), dtype=np.uint8)]
+    while len(blocks) < k and (len(blocks) == 1 or q * blocks[-1].size <= _STEP_SYMBOLS):
+        row = scaled[k - len(blocks)].T
+        block = _add(add_t, row[:, :, None], blocks[-1][:, None, :])
+        blocks.append(block.reshape(n_cols, -1))
+    best_w, best_idx = n_cols + 1, -1
     base = 0
     for lead in range(k):
         if base >= max_messages:
             break
-        count = min(q ** (k - 1 - lead), max_messages - base)
-        pos = 0
-        while pos < count:
-            step = min(_CHUNK, count - pos)
-            tasks.append((lead, pos, pos + step))
-            offsets.append(base)
-            pos += step
-        base += q ** (k - 1 - lead)
-    tasks_arr = np.array(tasks, dtype=np.int64).reshape(-1, 3)
-    out_w = np.empty(len(tasks), dtype=np.int64)
-    out_idx = np.empty(len(tasks), dtype=np.int64)
-    _exhaustive_scan_numba(scaled, add_t, sub_t, tasks_arr, out_w, out_idx)
-    best = min(
-        (int(out_w[i]), offsets[i] + int(out_idx[i])) for i in range(len(tasks))
-    )
-    return best
+        free = k - 1 - lead
+        count = min(q**free, max_messages - base)
+        t = min(free, len(blocks) - 1)
+        block, span = blocks[t], q**t
+        head_rows = range(lead + 1, k - t)
+        for combo_idx, combo in enumerate(product(range(q), repeat=len(head_rows))):
+            off = combo_idx * span
+            if off >= count:
+                break
+            head = scaled[lead, 1]
+            for row, val in zip(head_rows, combo):
+                if val:
+                    head = _add(add_t, head, scaled[row, val])
+            weights = _weights(block[:, : count - off], neg[head][:, None], acc)[0]
+            j = int(weights.argmin())
+            if int(weights[j]) < best_w:
+                best_w, best_idx = int(weights[j]), base + off + j
+        base += q**free
+    return best_w, best_idx
 
 
-def isd_level_scan(scaled, add_t, sub_t, supports, pivot_rows, backend=None):
+def isd_level_scan(scaled, add_t, sub_t, supports, pivot_rows):
     """Per-support minimum weight over all nonzero value patterns.
 
     `scaled` covers the non-pivot columns only; the weight on the pivot
     columns equals the number of support rows below `pivot_rows` and is
-    added by the kernel.
+    added by the kernel. Returns (weights, pattern indices), one per support.
     """
-    backend = resolve_backend(backend)
     supports = np.ascontiguousarray(supports, dtype=np.int64)
-    if backend == "numpy":
-        return _isd_level_numpy(scaled, add_t, supports, pivot_rows)
-    out_w = np.empty(supports.shape[0], dtype=np.int64)
-    out_idx = np.empty(supports.shape[0], dtype=np.int64)
-    _isd_level_numba(scaled, add_t, sub_t, supports, pivot_rows, out_w, out_idx)
+    n_sup, w = supports.shape
+    k, q, n_cols = scaled.shape
+    acc = np.min_scalar_type(n_cols)
+    hits = np.count_nonzero(supports < pivot_rows, axis=1)
+    if w == 1:
+        weights = np.count_nonzero(scaled[supports[:, 0], 1], axis=1)
+        return hits + weights, np.zeros(n_sup, dtype=np.int64)
+    rows = np.ascontiguousarray(scaled[:, 1:].transpose(2, 0, 1))  # (N, k, q-1)
+    neg_rows = sub_t[0][rows]
+    # suffix = the last s rows of a support: a row pair when the table of
+    # every pair's value patterns is small, else the last row alone;
+    # suffixes[:, id] holds the suffix's value patterns in pattern order
+    r1, r2 = np.triu_indices(k, 1)  # row pairs in combinations order
+    if w >= 3 and len(r1) * (q - 1) ** 2 * n_cols <= _STEP_SYMBOLS:
+        s = 2
+        pair_id = np.zeros((k, k), dtype=np.int64)
+        pair_id[r1, r2] = np.arange(len(r1))
+        suffixes = _add(add_t, rows[:, r1, :, None], rows[:, r2, None, :])
+        suffixes = suffixes.reshape(n_cols, len(r1), -1)
+        suffix_ids = pair_id[supports[:, -2], supports[:, -1]]
+    else:
+        s = 1
+        suffixes = rows
+        suffix_ids = supports[:, -1]
+    n_pat = (q - 1) ** s
+    out_w = np.empty(n_sup, dtype=np.int64)
+    out_idx = np.empty(n_sup, dtype=np.int64)
+    prefixes = supports[:, :-s]
+    new_prefix = np.any(prefixes[1:] != prefixes[:-1], axis=1)
+    starts = np.flatnonzero(np.concatenate(([True], new_prefix)))
+    for lo, hi in zip(starts, np.append(starts[1:], n_sup)):
+        prefix = prefixes[lo]
+        neg_heads = neg_rows[:, prefix[0], :1]  # (N, heads)
+        for row in prefix[1:]:
+            neg_heads = _add(add_t, neg_heads[:, :, None], neg_rows[:, row, None, :])
+            neg_heads = neg_heads.reshape(n_cols, -1)
+        m = hi - lo
+        block = suffixes[:, suffix_ids[lo:hi]].reshape(n_cols, m * n_pat)
+        best_w = np.full(m, n_cols + 1, dtype=np.int64)
+        best_j = np.zeros(m, dtype=np.int64)
+        step = max(1, _STEP_SYMBOLS // block.size)
+        for h0 in range(0, neg_heads.shape[1], step):
+            weights = _weights(block, neg_heads[:, h0 : h0 + step], acc)
+            # (heads, supports, suffix patterns) -> per support, pattern order
+            weights = weights.reshape(-1, m, n_pat).transpose(1, 0, 2).reshape(m, -1)
+            j = weights.argmin(axis=1)
+            wmin = weights[np.arange(m), j]
+            better = wmin < best_w
+            best_w[better] = wmin[better]
+            best_j[better] = h0 * n_pat + j[better]
+        out_w[lo:hi] = hits[lo:hi] + best_w
+        out_idx[lo:hi] = best_j
     return out_w, out_idx

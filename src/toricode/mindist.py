@@ -11,6 +11,9 @@ Two routes:
 
 Both report a deterministic witness: the first message in enumeration order
 attaining the minimum.
+
+Every entry point takes `threads`; it has no effect today, because the
+kernels are single-threaded numpy, and results never depend on it.
 """
 
 from __future__ import annotations
@@ -104,7 +107,6 @@ def min_distance_exhaustive(
     code: ToricCode,
     budget: int = DEFAULT_BUDGET,
     threads: int | None = None,
-    backend: str | None = None,
 ) -> MinDistResult:
     """Enumerate every normalized message; exact within budget.
 
@@ -123,10 +125,7 @@ def min_distance_exhaustive(
             f"budget {budget} cannot scan a single codeword of length {n_block}"
         )
     scaled = kernels.scaled_rows(spec, code.generator)
-    kernels.set_num_threads(threads)
-    best_w, best_idx = kernels.exhaustive_scan(
-        scaled, add_t, sub_t, q, max_messages, backend=backend
-    )
+    best_w, best_idx = kernels.exhaustive_scan(scaled, add_t, sub_t, q, max_messages)
     witness = _decode_message(k, q, best_idx)
     exact = max_messages == total
     return _checked_result(
@@ -222,7 +221,6 @@ def min_distance_isd(
     code: ToricCode,
     budget: int = DEFAULT_BUDGET,
     threads: int | None = None,
-    backend: str | None = None,
 ) -> MinDistResult:
     """Information-set search with matching lower/upper bounds.
 
@@ -236,7 +234,6 @@ def min_distance_isd(
     n_block = code.block_length
     if k * n_block > budget:
         raise ValueError(f"budget {budget} cannot scan the weight-1 level")
-    kernels.set_num_threads(threads)
     sets = _build_information_sets(spec, code.generator)
 
     ub = n_block + 1
@@ -258,7 +255,7 @@ def min_distance_isd(
                 witness = _isd_witness(spec, sets[best[0]], best[1], best[2], k, q)
                 return _checked_result(code, ub, witness, "isd", work, False, lb, ub)
             out_w, out_idx = kernels.isd_level_scan(
-                info.scaled(spec), add_t, sub_t, supports, info.rank, backend=backend
+                info.scaled(spec), add_t, sub_t, supports, info.rank
             )
             work += level_messages
             info.level = level
@@ -282,21 +279,20 @@ def min_distance(
     method: str = "auto",
     budget: int = DEFAULT_BUDGET,
     threads: int | None = None,
-    backend: str | None = None,
 ) -> MinDistResult:
     """Dispatch: 'exhaustive', 'isd', or 'auto' (exhaustive when cheap)."""
     if method == "exhaustive":
-        return min_distance_exhaustive(code, budget=budget, threads=threads, backend=backend)
+        return min_distance_exhaustive(code, budget=budget, threads=threads)
     if method == "isd":
-        return min_distance_isd(code, budget=budget, threads=threads, backend=backend)
+        return min_distance_isd(code, budget=budget, threads=threads)
     if method != "auto":
         raise ValueError(f"unknown method {method!r}")
     total_work = _total_messages(code.field.q, code.k) * code.block_length
     if total_work <= AUTO_EXHAUSTIVE_CAP:
-        return min_distance_exhaustive(code, budget=budget, threads=threads, backend=backend)
-    result = min_distance_isd(code, budget=budget, threads=threads, backend=backend)
+        return min_distance_exhaustive(code, budget=budget, threads=threads)
+    result = min_distance_isd(code, budget=budget, threads=threads)
     if not result.exact and total_work <= budget:
-        return min_distance_exhaustive(code, budget=budget, threads=threads, backend=backend)
+        return min_distance_exhaustive(code, budget=budget, threads=threads)
     return result
 
 
@@ -305,8 +301,7 @@ def max_zeroes(
     method: str = "auto",
     budget: int = DEFAULT_BUDGET,
     threads: int | None = None,
-    backend: str | None = None,
 ) -> int:
     """Largest number of torus zeroes over nonzero polynomials: N - d."""
-    result = min_distance(code, method=method, budget=budget, threads=threads, backend=backend)
+    result = min_distance(code, method=method, budget=budget, threads=threads)
     return code.block_length - result.d

@@ -147,3 +147,24 @@ def test_out_flag_writes_file(capsys, tmp_path, triangle_path):
     assert code == 0
     assert out == ""
     assert out_path.read_text().startswith("N=16 k=6 d=8")
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_is_an_error(capsys, triangle_path, threads):
+    code, out, err = run_cli(
+        capsys,
+        ["mindist", "--field", "5", "--polytope", triangle_path, "--threads", threads],
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: --threads must be at least 1, got {threads}\n"
+
+
+@pytest.mark.parametrize("flag", ["--emit-generator", "--out"])
+def test_missing_output_directory_is_an_error(capsys, tmp_path, triangle_path, flag):
+    target = tmp_path / "missing" / "file.txt"
+    code, _, err = run_cli(
+        capsys, ["build", "--field", "5", "--polytope", triangle_path, flag, str(target)]
+    )
+    assert code == 2
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert len(err.splitlines()) == 1

@@ -1,13 +1,18 @@
-"""Minimum distance search tests: exhaustive, information-set, backends."""
+"""Minimum distance search tests: exhaustive, information-set, kernels.
 
+The kernels are checked against one plain reference loop that sums each
+message's codeword row by row through the addition table.
+"""
+
+import itertools
 import random
 
 import numpy as np
 import pytest
 
+from toricode import kernels
 from toricode.codes import build_code, evaluate
 from toricode.gf import make_field
-from toricode.kernels import available_backends
 from toricode.mindist import (
     max_zeroes,
     min_distance,
@@ -26,11 +31,52 @@ from toricode.polytopes import (
 TRIANGLE = [(1, 0), (0, 3), (3, 1)]
 EX4_VERTICES = [(0, 3, 0), (1, 0, 0), (3, 1, 0), (1, 1, 2), (2, 3, 3)]
 
-BACKENDS = available_backends()
-
 
 def triangle_code(field):
     return build_code(from_vertices(2, TRIANGLE), field)
+
+
+# ---------------------------------------------------------------------------
+# plain reference: messages in the kernels' documented order
+# ---------------------------------------------------------------------------
+
+def normalized_messages(k, q):
+    """Every message with leading coefficient 1, in exhaustive-scan order."""
+    for lead in range(k):
+        for tail in itertools.product(range(q), repeat=k - 1 - lead):
+            yield (0,) * lead + (1,) + tail
+
+
+def support_patterns(support, k, q):
+    """Messages on `support` in ISD pattern order: 1 on the first row, 1..q-1 after."""
+    for values in itertools.product(range(1, q), repeat=len(support) - 1):
+        msg = [0] * k
+        for row, val in zip(support, (1,) + values):
+            msg[row] = val
+        yield msg
+
+
+def reference_min(scaled, add_t, messages):
+    """(weight, first index) of the lightest codeword, summed row by row."""
+    best = None
+    for idx, msg in enumerate(messages):
+        cw = np.zeros(scaled.shape[2], dtype=np.uint8)
+        for row, val in enumerate(msg):
+            if val:
+                cw = add_t[cw, scaled[row, val]]
+        weight = int(np.count_nonzero(cw))
+        if best is None or weight < best[0]:
+            best = (weight, idx)
+    return best
+
+
+def reference_distance(code):
+    """(d, first message of weight d) over every normalized message."""
+    add_t, _ = code.field.kernel_tables()
+    messages = list(normalized_messages(code.k, code.field.q))
+    scaled = kernels.scaled_rows(code.field, code.generator)
+    d, idx = reference_min(scaled, add_t, messages)
+    return d, list(messages[idx])
 
 
 # ---------------------------------------------------------------------------
@@ -111,28 +157,12 @@ def test_exhaustive_and_isd_agree(field, poly):
 
 
 def test_witness_is_first_in_enumeration_order():
-    # reference scan in plain python over the documented message order
-    field = make_field(3)
-    code = build_code(box([1, 1]), field)
-    q, k = field.q, code.k
-    best = None
-    order = []
-    for lead in range(k):
-        for tail in range(q ** (k - 1 - lead)):
-            msg = [0] * k
-            msg[lead] = 1
-            t = tail
-            for pos in range(k - 1, lead, -1):
-                msg[pos] = t % q
-                t //= q
-            order.append(list(msg))
-    for idx, msg in enumerate(order):
-        w = evaluate(code, msg).weight
-        if best is None or w < best[0]:
-            best = (w, idx, msg)
+    code = build_code(box([1, 1]), make_field(3))
+    d, first = reference_distance(code)
+    assert evaluate(code, first).weight == d
     r = min_distance_exhaustive(code)
-    assert r.d == best[0]
-    assert list(r.witness) == best[2]
+    assert r.d == d
+    assert list(r.witness) == first
 
 
 def test_singleton_bound_holds():
@@ -204,30 +234,69 @@ def test_rejects_rank_deficient_code():
 
 
 # ---------------------------------------------------------------------------
-# backend equivalence
+# kernels against the plain reference
 # ---------------------------------------------------------------------------
 
-@pytest.mark.skipif(len(BACKENDS) < 2, reason="numba not available")
-def test_backends_agree_exhaustive():
-    for field, poly in small_code_instances()[:6]:
-        code = build_code(poly, field)
-        r_nb = min_distance_exhaustive(code, backend="numba")
-        r_np = min_distance_exhaustive(code, backend="numpy")
-        assert r_nb.d == r_np.d
-        assert np.array_equal(r_nb.witness, r_np.witness)
+# (p, m, k): every field family, k small enough for the reference loop
+KERNEL_CASES = [
+    (2, 1, 8), (3, 1, 6), (2, 2, 5), (5, 1, 5), (7, 1, 4),
+    (2, 3, 4), (3, 2, 4), (2, 4, 3), (5, 2, 3), (3, 3, 3),
+]
 
 
-@pytest.mark.skipif(len(BACKENDS) < 2, reason="numba not available")
-def test_backends_agree_isd():
-    code = build_code(pyramid(from_vertices(2, TRIANGLE)), make_field(5))
-    r_nb = min_distance_isd(code, backend="numba")
-    r_np = min_distance_isd(code, backend="numpy")
-    assert r_nb.d == r_np.d == 32
-    assert np.array_equal(r_nb.witness, r_np.witness)
-    assert r_nb.work_count == r_np.work_count
+def random_scaled(field, k, seed):
+    """Scaled rows of a random generator drawn from three values, so weights tie."""
+    rng = np.random.default_rng(seed)
+    values = rng.choice(field.q, size=min(field.q, 3), replace=False)
+    generator = rng.choice(values, size=(k, int(rng.integers(5, 30))))
+    return kernels.scaled_rows(field, generator.astype(np.int64))
 
 
-@pytest.mark.skipif(len(BACKENDS) < 2, reason="numba not available")
+@pytest.mark.parametrize("p,m,k", KERNEL_CASES)
+def test_exhaustive_scan_matches_reference(p, m, k, monkeypatch):
+    field = make_field(p, m)
+    q = field.q
+    add_t, sub_t = field.kernel_tables()
+    scaled = random_scaled(field, k, seed=q)
+    messages = list(normalized_messages(k, q))
+    total = len(messages)
+    # the default step puts every free row in one block; a step of 1 gives
+    # one-row blocks, so the head loop runs
+    for step in (kernels._STEP_SYMBOLS, 1):
+        monkeypatch.setattr(kernels, "_STEP_SYMBOLS", step)
+        for max_messages in (total, total // 3 + 1, 1):
+            got = kernels.exhaustive_scan(scaled, add_t, sub_t, q, max_messages)
+            assert got == reference_min(scaled, add_t, messages[:max_messages])
+
+
+@pytest.mark.parametrize("p,m,k", KERNEL_CASES)
+def test_isd_level_scan_matches_reference(p, m, k, monkeypatch):
+    field = make_field(p, m)
+    q = field.q
+    add_t, sub_t = field.kernel_tables()
+    scaled = random_scaled(field, k, seed=q + 1)
+    levels = []
+    for level in range(1, k + 1):
+        supports = list(itertools.combinations(range(k), level))
+        ref = [reference_min(scaled, add_t, support_patterns(s, k, q)) for s in supports]
+        levels.append((supports, ref))
+    # the default step uses row-pair suffixes from level 3 on; a step of 1
+    # forces last-row suffixes and one head per step, so the argmin carries
+    # across steps
+    for step in (kernels._STEP_SYMBOLS, 1):
+        monkeypatch.setattr(kernels, "_STEP_SYMBOLS", step)
+        for supports, ref in levels:
+            for pivot_rows in range(k + 1):
+                out_w, out_idx = kernels.isd_level_scan(
+                    scaled, add_t, sub_t, np.array(supports), pivot_rows
+                )
+                want = [
+                    (w + sum(r < pivot_rows for r in s), j)
+                    for s, (w, j) in zip(supports, ref)
+                ]
+                assert list(zip(out_w.tolist(), out_idx.tolist())) == want
+
+
 def test_thread_count_does_not_change_result():
     code = build_code(product(from_vertices(2, TRIANGLE), box([1])), make_field(5))
     r1 = min_distance_isd(code, threads=1)
@@ -253,17 +322,6 @@ def test_random_codes_match_direct_minimum():
         code = build_code(poly, field)
         if code.k > 6:
             continue
-        # direct reference: evaluate every normalized message
-        ref = None
-        for lead in range(code.k):
-            for tail in range(q ** (code.k - 1 - lead)):
-                msg = [0] * code.k
-                msg[lead] = 1
-                t = tail
-                for pos in range(code.k - 1, lead, -1):
-                    msg[pos] = t % q
-                    t //= q
-                w = evaluate(code, msg).weight
-                ref = w if ref is None else min(ref, w)
+        ref, _ = reference_distance(code)
         assert min_distance_exhaustive(code).d == ref
         assert min_distance_isd(code).d == ref
