@@ -20,18 +20,15 @@ import sys
 from importlib import resources
 
 from .codes import build_code
-from .formulas import d_recipe, dim_recipe, params_report, recipe_valid_for
+from .formulas import d_recipe, params_report, recipe_valid_for
 from .gf import as_prime_power, field_for_order, parse_field
 from .mindist import DEFAULT_BUDGET, min_distance
 from .polytopes import (
-    load_polytope,
-    load_recipe,
+    box,
     polytope_from_dict,
     product,
     pyramid,
     realize_recipe,
-    box,
-    from_vertices,
 )
 
 

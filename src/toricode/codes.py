@@ -21,7 +21,7 @@ class ToricCode:
     field: FieldSpec
     polytope: LatticePolytope
     monomials: tuple[tuple[int, ...], ...]
-    generator: np.ndarray  # k x N canonical element values
+    generator: np.ndarray  # k x N element codes: uint8 if q <= 256, else uint16
     k: int
 
     @property
@@ -77,8 +77,12 @@ def build_code(
     monomials = polytope.lattice_points
     mon = np.array(monomials, dtype=np.int64)
     exps = torus_exponents(field, polytope.dim)
-    powers = (mon @ exps.T) % (q - 1)
-    generator = field.exp[powers]
+    powers = mon @ exps.T
+    np.remainder(powers, q - 1, out=powers)
+    # element codes fit the narrowest unsigned type holding q - 1
+    exp = field.exp.astype(np.uint8 if q <= 256 else np.uint16)
+    generator = exp[powers]
+    del powers
     if allow_outside_cube and not polytope.fits_in_cube(q):
         k = gf_rank(field, generator)
     else:

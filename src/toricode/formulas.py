@@ -25,10 +25,6 @@ from .polytopes import (
     LatticePolytope,
     PyramidScale,
     Segment,
-    box,
-    dilate,
-    product,
-    pyramid,
     realize_recipe,
 )
 
@@ -200,21 +196,32 @@ def dim_pyramid_dilate(dilate_dims) -> int:
 
 
 def dim_recipe(recipe: ConstructionRecipe) -> int:
-    """Dimension (lattice-point count) via the product/pyramid recursions."""
-    dim = 1
-    poly: LatticePolytope | None = None
-    for step in recipe.steps:
-        if isinstance(step, Segment):
-            dim = dim_product(dim, step.length + 1)
-            seg = box([step.length])
-            poly = seg if poly is None else product(poly, seg)
-        else:
-            counts = [
-                len(dilate(poly, l).lattice_points) for l in range(step.factor + 1)
-            ]
-            dim = dim_pyramid_dilate(counts)
-            poly = dilate(pyramid(poly), step.factor)
-    return dim
+    """Dimension (lattice-point count) via the product/pyramid recursions.
+
+    Counts the Ehrhart function L(t) = |tP o Z^n| of the polytope after each
+    step, never its points: a segment step gives L_{P x [0,a]}(t) =
+    L_P(t) (a t + 1), and since the slice of f Pyr(Q) at height h is
+    (f - h) Q, a pyramid step gives L_{f Pyr(Q)}(t) = sum_{j=0..f t} L_Q(j).
+    The dimension is L(1) of the last step.
+    """
+    steps = recipe.steps
+    memo: dict[tuple[int, int], int] = {}
+
+    def count(i: int, t: int) -> int:
+        """L(t) of the polytope built by steps[:i + 1]; i = -1 is a point."""
+        if i < 0:
+            return 1
+        if (i, t) not in memo:
+            step = steps[i]
+            if isinstance(step, Segment):
+                memo[i, t] = dim_product(count(i - 1, t), step.length * t + 1)
+            else:
+                memo[i, t] = dim_pyramid_dilate(
+                    count(i - 1, j) for j in range(step.factor * t + 1)
+                )
+        return memo[i, t]
+
+    return count(len(steps) - 1, 1)
 
 
 def dim_simplex_dilate(n: int, k: int) -> int:

@@ -5,6 +5,36 @@ c_0 + c_1 x + ... + c_{m-1} x^{m-1} is encoded as sum(c_i * p^i).
 Multiplication goes through discrete logs with respect to a fixed
 generator of the multiplicative group, so repeated products in hot
 loops are table lookups.
+
+Matrix arithmetic
+-----------------
+`gf_matmul`, `gf_matvec`, `row_reduce` and `gf_rank` share one dispatch
+rule: for q <= KERNEL_FIELD_CAP elements are uint8 codes and every sum,
+difference and product is a lookup in the dense q x q tables of
+`FieldSpec.kernel_tables` and `FieldSpec.mul_table` (sums and differences
+are XOR when p = 2); above the cap they are int64 through
+`add_arrays`/`sub_arrays`/`mul_arrays`. A matrix product is a loop over the
+inner index adding outer products, each one vectorised over the whole
+output.
+
+Lazy blocked elimination (soundness)
+------------------------------------
+`row_reduce` is Gauss-Jordan elimination with the first nonzero row at or
+below the current rank as pivot, taking columns in the caller's order. It
+keeps only the k x k transform T, the product of the row operations so far,
+and takes the columns a block at a time: a block enters as T @ mat[:, block].
+Every row operation (swap, scaling, elimination) acts on all columns of
+mat at once, so the column c of the fully updated matrix is at every moment
+T_current @ mat[:, c]. Hence the block column, when it is reached, is
+exactly the column the plain column-by-column loop holds at that point;
+the pivot row, the scale and the eliminated rows are the same, so T and the
+pivot list are identical, and reduced = T @ mat is the plain loop's matrix.
+The row operations of one pivot are applied to every row at once, to the
+columns of the block not yet reached and to T. Columns of a block that are
+zero at and below the current rank when the block enters stay zero there
+(every later pivot row lies at or below that rank and is zero in them), so
+they are skipped without a test. The loop stops once every row has a pivot;
+`gf_rank` needs only the pivot count and never forms T @ mat.
 """
 
 from __future__ import annotations
@@ -15,7 +45,7 @@ from itertools import product as _iproduct
 import numpy as np
 
 FIELD_CAP = 1 << 16
-KERNEL_FIELD_CAP = 256  # dense q x q add/sub tables for the search kernels
+KERNEL_FIELD_CAP = 256  # dense q x q uint8 tables: search kernels and matrix arithmetic
 
 
 def is_prime(n: int) -> bool:
@@ -116,6 +146,7 @@ class FieldSpec:
         self._build_log_tables()
         self._add_u8 = None
         self._sub_u8 = None
+        self._mul_u8 = None
 
     # -- construction internals
 
@@ -153,16 +184,32 @@ class FieldSpec:
         raise AssertionError("multiplicative group has no generator")
 
     def _build_log_tables(self) -> None:
+        """exp[i] = g^i by doubling: exp[s : 2s] = exp[:s] * g^s.
+
+        Multiplication by the fixed element c = g^s is GF(p)-linear on the
+        digit vectors (c_0, ..., c_{m-1}), so each doubling step is one
+        integer matrix product with the m x m matrix whose row i holds the
+        digits of c * x^i, reduced mod p.
+        """
         n = self.q - 1
+        pw = np.array(self._pw, dtype=np.int64)
         exp = np.zeros(n, dtype=np.int64)
-        log = np.zeros(self.q, dtype=np.int64)
-        x = 1
-        for i in range(n):
-            exp[i] = x
-            log[x] = i
-            x = self._poly_mul(x, self.generator)
-        if x != 1:
+        exp[0] = 1
+        size, c = 1, self.generator
+        while size < n:
+            take = min(size, n - size)
+            digits = exp[:take, None] // pw % self.p
+            times_c = np.array(
+                [_decode(self._poly_mul(c, int(x)), self.p, self.m) for x in pw],
+                dtype=np.int64,
+            )
+            exp[size : size + take] = digits @ times_c % self.p @ pw
+            size += take
+            c = self._poly_mul(c, c)
+        if self._poly_mul(int(exp[-1]), self.generator) != 1:
             raise AssertionError("generator order mismatch")
+        log = np.zeros(self.q, dtype=np.int64)
+        log[exp] = np.arange(n, dtype=np.int64)
         self.exp = exp
         self.log = log
 
@@ -271,19 +318,26 @@ class FieldSpec:
         vals = self.exp[(la + lb) % (self.q - 1)]
         return np.where(mask, vals, 0)
 
-    def kernel_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dense (q, q) uint8 add and sub tables for the search kernels."""
+    def _table(self, op) -> np.ndarray:
         if self.q > KERNEL_FIELD_CAP:
             raise ValueError(
                 f"search kernels support q <= {KERNEL_FIELD_CAP}, got q = {self.q}"
             )
+        col = np.arange(self.q, dtype=np.int64)
+        return op(col[:, None], col[None, :]).astype(np.uint8)
+
+    def kernel_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Dense (q, q) uint8 add and sub tables (search kernels, matrix arithmetic)."""
         if self._add_u8 is None:
-            col = np.arange(self.q, dtype=np.int64)
-            add = self.add_arrays(col[:, None], col[None, :])
-            sub = self.sub_arrays(col[:, None], col[None, :])
-            self._add_u8 = add.astype(np.uint8)
-            self._sub_u8 = sub.astype(np.uint8)
+            self._add_u8 = self._table(self.add_arrays)
+            self._sub_u8 = self._table(self.sub_arrays)
         return self._add_u8, self._sub_u8
+
+    def mul_table(self) -> np.ndarray:
+        """Dense (q, q) uint8 multiplication table; q <= KERNEL_FIELD_CAP."""
+        if self._mul_u8 is None:
+            self._mul_u8 = self._table(self.mul_arrays)
+        return self._mul_u8
 
     def element(self, value: int) -> "FieldElement":
         return FieldElement(self, self.check(value))
@@ -419,57 +473,135 @@ def torus_points(spec: FieldSpec, n: int) -> list[tuple[FieldElement, ...]]:
 # linear algebra over GF(q)
 # ---------------------------------------------------------------------------
 
+# columns taken per block by the lazy elimination of row_reduce and gf_rank
+_BLOCK_COLUMNS = 1024
+
+
+def table_lookup(table: np.ndarray, a, b) -> np.ndarray:
+    """table[a, b] for a dense (q, q) uint8 table: one lookup per element in
+    its flat view. The index a * q + b stays below 2^16 because q <= 256."""
+    return np.take(table.ravel(), a.astype(np.uint16) * table.shape[0] + b)
+
+
+class _Arith:
+    """Array arithmetic over one field, by the module's one dispatch rule."""
+
+    def __init__(self, spec: FieldSpec):
+        self.spec = spec
+        self.tables = spec.q <= KERNEL_FIELD_CAP
+        if self.tables:
+            self._add, self._sub = spec.kernel_tables()
+            self._mul = spec.mul_table()
+        self.dtype = np.uint8 if self.tables else np.int64
+
+    def cast(self, a) -> np.ndarray:
+        return np.asarray(a, dtype=self.dtype)
+
+    def add(self, a, b) -> np.ndarray:
+        if not self.tables:
+            return self.spec.add_arrays(a, b)
+        return a ^ b if self.spec.p == 2 else table_lookup(self._add, a, b)
+
+    def sub(self, a, b) -> np.ndarray:
+        if not self.tables:
+            return self.spec.sub_arrays(a, b)
+        return a ^ b if self.spec.p == 2 else table_lookup(self._sub, a, b)
+
+    def scale(self, s: int, row) -> np.ndarray:
+        """s * row for one field element s."""
+        if not self.tables:
+            return self.spec.mul_arrays(s, row)
+        return np.take(self._mul[s], row)
+
+    def outer(self, f, row) -> np.ndarray:
+        """out[i, t] = f[i] * row[t].
+
+        With tables: the row scaled by every field element (q x len(row)
+        lookups), then whole rows picked by f, a copy per row.
+        """
+        if not self.tables:
+            return self.spec.mul_arrays(f[:, None], row[None, :])
+        return np.take(self._mul, row, axis=1)[f]
+
+    def matmul(self, a, b) -> np.ndarray:
+        """a @ b, adding the outer product of each nonzero column of a with
+        the matching row of b."""
+        out = np.zeros((a.shape[0], b.shape[1]), dtype=self.dtype)
+        for col, row in zip(a.T, b):
+            if col.any():
+                out = self.add(out, self.outer(col, row))
+        return out
+
+
+def _eliminate(ar: _Arith, mat: np.ndarray, columns):
+    """(transform, pivot_columns) of the Gauss-Jordan loop over `columns`.
+
+    Lazy and column-blocked; the module docstring gives the argument that
+    the result is the plain loop's.
+    """
+    rows, cols = mat.shape
+    order = np.arange(cols) if columns is None else np.array(list(columns), dtype=np.intp)
+    t = ar.cast(np.eye(rows))
+    r = 0
+    pivots: list[int] = []
+    for start in range(0, order.size, _BLOCK_COLUMNS):
+        if r == rows:
+            break
+        block = order[start : start + _BLOCK_COLUMNS]
+        x = ar.matmul(t, ar.cast(mat[:, block]))
+        for j in np.flatnonzero(x[r:].any(axis=0)):
+            below = np.flatnonzero(x[r:, j])
+            if not below.size:
+                continue
+            pivot = r + int(below[0])
+            if pivot != r:
+                x[[r, pivot]] = x[[pivot, r]]
+                t[[r, pivot]] = t[[pivot, r]]
+            rest = slice(j + 1, None)  # block columns not reached yet
+            s = ar.spec.inv(int(x[r, j]))
+            if s != 1:
+                x[r, rest] = ar.scale(s, x[r, rest])
+                t[r] = ar.scale(s, t[r])
+            f = x[:, j].copy()
+            f[r] = 0
+            hit = np.flatnonzero(f)
+            if hit.size:
+                x[hit, rest] = ar.sub(x[hit, rest], ar.outer(f[hit], x[r, rest]))
+                t[hit] = ar.sub(t[hit], ar.outer(f[hit], t[r]))
+            pivots.append(int(block[j]))
+            r += 1
+            if r == rows:
+                break
+    return t, pivots
+
+
 def row_reduce(spec: FieldSpec, mat: np.ndarray, columns=None):
     """Reduced row echelon form over GF(q), pivoting only on `columns`.
 
     Returns (reduced, transform, pivot_columns) with reduced = transform @ mat
-    over GF(q); pivot columns are unit vectors in `reduced`.
+    over GF(q); pivot columns are unit vectors in `reduced`. Columns are
+    taken in the order given, each pivot on the first nonzero row at or
+    below the current rank.
     """
-    m = np.array(mat, dtype=np.int64)
-    rows, cols = m.shape
-    t = np.eye(rows, dtype=np.int64)
-    if columns is None:
-        columns = range(cols)
-    r = 0
-    pivots: list[int] = []
-    for c in columns:
-        pivot = next((i for i in range(r, rows) if m[i, c]), None)
-        if pivot is None:
-            continue
-        if pivot != r:
-            m[[r, pivot]] = m[[pivot, r]]
-            t[[r, pivot]] = t[[pivot, r]]
-        s = spec.inv(int(m[r, c]))
-        if s != 1:
-            m[r] = spec.mul_arrays(s, m[r])
-            t[r] = spec.mul_arrays(s, t[r])
-        for i in range(rows):
-            f = int(m[i, c])
-            if i != r and f:
-                m[i] = spec.sub_arrays(m[i], spec.mul_arrays(f, m[r]))
-                t[i] = spec.sub_arrays(t[i], spec.mul_arrays(f, t[r]))
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, t, pivots
+    ar = _Arith(spec)
+    mat = np.asarray(mat)
+    t, pivots = _eliminate(ar, mat, columns)
+    reduced = ar.matmul(t, ar.cast(mat))
+    return reduced.astype(np.int64), t.astype(np.int64), pivots
 
 
 def gf_rank(spec: FieldSpec, mat: np.ndarray) -> int:
-    _, _, pivots = row_reduce(spec, mat)
+    """Rank over GF(q): the pivot count of row_reduce, without forming reduced."""
+    _, pivots = _eliminate(_Arith(spec), np.asarray(mat), None)
     return len(pivots)
 
 
 def gf_matvec(spec: FieldSpec, vec: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """vec @ mat over GF(q) for a length-k vector and a k x n matrix."""
-    out = np.zeros(mat.shape[1], dtype=np.int64)
-    for i, v in enumerate(np.asarray(vec, dtype=np.int64)):
-        if v:
-            out = spec.add_arrays(out, spec.mul_arrays(int(v), mat[i]))
-    return out
+    return gf_matmul(spec, np.asarray(vec)[None, :], mat)[0]
 
 
 def gf_matmul(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b over GF(q)."""
-    a = np.asarray(a, dtype=np.int64)
-    return np.stack([gf_matvec(spec, row, b) for row in a])
+    ar = _Arith(spec)
+    return ar.matmul(ar.cast(a), ar.cast(b)).astype(np.int64)

@@ -51,6 +51,8 @@ from itertools import product
 
 import numpy as np
 
+from .gf import table_lookup
+
 # symbols compared per vectorised step; also caps the exhaustive blocks and
 # the ISD pair table
 _STEP_SYMBOLS = 1 << 20
@@ -58,19 +60,8 @@ _STEP_SYMBOLS = 1 << 20
 
 def scaled_rows(spec, generator: np.ndarray) -> np.ndarray:
     """(k, q, N) uint8 table: scaled[i, v, :] = v * generator[i, :] over GF(q)."""
-    q = spec.q
-    spec.kernel_tables()  # raises early if q is too large for uint8 kernels
-    vals = np.arange(q, dtype=np.int64)
-    table = spec.mul_arrays(vals[None, :, None], generator[:, None, :])
-    return np.ascontiguousarray(table.astype(np.uint8))
-
-
-def _add(add_t, a, b):
-    """a + b over GF(q), one lookup per symbol in the flattened addition table.
-
-    The index a * q + b stays below 2^16 because q <= 256.
-    """
-    return np.take(add_t.ravel(), a.astype(np.uint16) * add_t.shape[0] + b)
+    table = np.take(spec.mul_table(), generator, axis=1)  # (q, k, N)
+    return np.ascontiguousarray(table.transpose(1, 0, 2))
 
 
 def _weights(block, neg_heads, acc):
@@ -98,7 +89,7 @@ def exhaustive_scan(scaled, add_t, sub_t, q, max_messages):
     blocks = [np.zeros((n_cols, 1), dtype=np.uint8)]
     while len(blocks) < k and (len(blocks) == 1 or q * blocks[-1].size <= _STEP_SYMBOLS):
         row = scaled[k - len(blocks)].T
-        block = _add(add_t, row[:, :, None], blocks[-1][:, None, :])
+        block = table_lookup(add_t, row[:, :, None], blocks[-1][:, None, :])
         blocks.append(block.reshape(n_cols, -1))
     best_w, best_idx = n_cols + 1, -1
     base = 0
@@ -117,7 +108,7 @@ def exhaustive_scan(scaled, add_t, sub_t, q, max_messages):
             head = scaled[lead, 1]
             for row, val in zip(head_rows, combo):
                 if val:
-                    head = _add(add_t, head, scaled[row, val])
+                    head = table_lookup(add_t, head, scaled[row, val])
             weights = _weights(block[:, : count - off], neg[head][:, None], acc)[0]
             j = int(weights.argmin())
             if int(weights[j]) < best_w:
@@ -151,7 +142,7 @@ def isd_level_scan(scaled, add_t, sub_t, supports, pivot_rows):
         s = 2
         pair_id = np.zeros((k, k), dtype=np.int64)
         pair_id[r1, r2] = np.arange(len(r1))
-        suffixes = _add(add_t, rows[:, r1, :, None], rows[:, r2, None, :])
+        suffixes = table_lookup(add_t, rows[:, r1, :, None], rows[:, r2, None, :])
         suffixes = suffixes.reshape(n_cols, len(r1), -1)
         suffix_ids = pair_id[supports[:, -2], supports[:, -1]]
     else:
@@ -168,7 +159,7 @@ def isd_level_scan(scaled, add_t, sub_t, supports, pivot_rows):
         prefix = prefixes[lo]
         neg_heads = neg_rows[:, prefix[0], :1]  # (N, heads)
         for row in prefix[1:]:
-            neg_heads = _add(add_t, neg_heads[:, :, None], neg_rows[:, row, None, :])
+            neg_heads = table_lookup(add_t, neg_heads[:, :, None], neg_rows[:, row, None, :])
             neg_heads = neg_heads.reshape(n_cols, -1)
         m = hi - lo
         block = suffixes[:, suffix_ids[lo:hi]].reshape(n_cols, m * n_pat)

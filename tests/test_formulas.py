@@ -1,5 +1,6 @@
 """Closed-form distance and dimension formulas against brute-force search."""
 
+import random
 from fractions import Fraction
 from math import comb
 
@@ -245,6 +246,19 @@ def test_dim_recipe_matches_enumeration():
     ]
     for r in recipes:
         assert dim_recipe(r) == len(realize_recipe(r).lattice_points)
+
+
+def test_dim_recipe_matches_enumeration_seeded_sweep():
+    rng = random.Random(4242)
+    for _ in range(25):
+        steps = [Segment(rng.randint(1, 3))]
+        for _ in range(rng.randint(0, 3)):
+            if rng.random() < 0.5:
+                steps.append(Segment(rng.randint(1, 2)))
+            else:
+                steps.append(PyramidScale(rng.randint(1, 2)))
+        r = ConstructionRecipe(tuple(steps))
+        assert dim_recipe(r) == len(realize_recipe(r).lattice_points), r
 
 
 def test_dim_product_and_pyramid_dilate_helpers():

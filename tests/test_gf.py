@@ -6,8 +6,12 @@ import random
 import numpy as np
 import pytest
 
+from toricode import gf as gf_module
 from toricode.gf import (
     FieldElement,
+    as_prime_power,
+    field_for_order,
+    gf_matmul,
     gf_matvec,
     gf_rank,
     make_field,
@@ -289,3 +293,130 @@ def test_row_reduce_restricted_columns():
     # pivot columns are unit vectors
     assert sorted(red[:, 2].tolist()) == [0, 1]
     assert sorted(red[:, 1].tolist()) == [0, 1]
+
+
+def reference_row_reduce(spec, mat, columns=None):
+    """The plain Gauss-Jordan loop, one column and one row at a time."""
+    m = np.array(mat, dtype=np.int64)
+    rows, cols = m.shape
+    t = np.eye(rows, dtype=np.int64)
+    if columns is None:
+        columns = range(cols)
+    r = 0
+    pivots = []
+    for c in columns:
+        pivot = next((i for i in range(r, rows) if m[i, c]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            m[[r, pivot]] = m[[pivot, r]]
+            t[[r, pivot]] = t[[pivot, r]]
+        s = spec.inv(int(m[r, c]))
+        if s != 1:
+            m[r] = spec.mul_arrays(s, m[r])
+            t[r] = spec.mul_arrays(s, t[r])
+        for i in range(rows):
+            f = int(m[i, c])
+            if i != r and f:
+                m[i] = spec.sub_arrays(m[i], spec.mul_arrays(f, m[r]))
+                t[i] = spec.sub_arrays(t[i], spec.mul_arrays(f, t[r]))
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, t, pivots
+
+
+def random_matrices(q, rng):
+    """(matrix, columns) cases: empty, full rank, rank-deficient, tall, column subsets."""
+    yield np.zeros((0, 3), dtype=np.int64), None
+    yield np.zeros((2, 0), dtype=np.int64), None
+    for trial in range(8):
+        k = rng.randint(1, 7)
+        n = rng.randint(1, 14) if trial % 4 != 3 else rng.randint(1, k)  # tall
+        mat = np.array([[rng.randrange(q) for _ in range(n)] for _ in range(k)])
+        if trial % 2:  # rank-deficient: a zero row and a repeated or second zero row
+            mat[rng.randrange(k)] = 0
+            if k > 2:
+                mat[0] = mat[1] if rng.random() < 0.5 else 0
+        if trial % 3 == 2:  # repeated runs of equal columns
+            mat[:, n // 2:] = mat[:, : n - n // 2]
+        columns = None
+        if trial >= 4:
+            columns = rng.sample(range(n), rng.randint(1, n))
+        yield mat, columns
+
+
+@pytest.mark.parametrize("block", [1, 3, None])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 257, 729, 1 << 10])
+def test_row_reduce_identical_to_reference_loop(q, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(gf_module, "_BLOCK_COLUMNS", block)
+    f = field_for_order(q)
+    rng = random.Random(q * 31 + (block or 0))
+    for mat, columns in random_matrices(q, rng):
+        red, t, pivots = row_reduce(f, mat, columns=columns)
+        want_red, want_t, want_pivots = reference_row_reduce(f, mat, columns)
+        assert pivots == want_pivots
+        assert np.array_equal(t, want_t)
+        assert np.array_equal(red, want_red)
+        assert red.dtype == t.dtype == np.int64
+        if columns is None:
+            assert gf_rank(f, mat) == len(want_pivots)
+        assert np.array_equal(gf_matmul(f, want_t, mat), want_red)
+        if len(mat):
+            assert np.array_equal(gf_matvec(f, want_t[-1], mat), want_red[-1])
+
+
+def reference_log_tables(spec):
+    """exp and log by repeated multiplication with the schoolbook product."""
+    modulus = list(spec.modulus)
+    g = [(spec.generator // spec.p**i) % spec.p for i in range(spec.m)]
+    exp, log = [], {}
+    x = [1] + [0] * (spec.m - 1)
+    for i in range(spec.q - 1):
+        v = sum(c * spec.p**j for j, c in enumerate(x))
+        exp.append(v)
+        log[v] = i
+        x = poly_mul_mod(x, g, modulus, spec.p) if spec.m > 1 else [x[0] * g[0] % spec.p]
+        x += [0] * (spec.m - len(x))
+    return exp, log
+
+
+PRIME_POWERS_TO_256 = [q for q in range(2, 257) if as_prime_power(q)]
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_TO_256)
+def test_field_tables_match_scalar_reference(q):
+    f = field_for_order(q)
+    exp, log = reference_log_tables(f)
+    assert f.exp.tolist() == exp
+    assert all(f.log[v] == i for v, i in log.items())
+    add_t, sub_t = f.kernel_tables()
+    mul_t = f.mul_table()
+    assert mul_t.dtype == np.uint8
+    a, b = np.divmod(np.arange(q * q), q)
+    assert np.array_equal(mul_t.ravel(), f.mul_arrays(a, b))
+    assert np.array_equal(add_t.ravel(), f.add_arrays(a, b))
+    for x in range(1, q):
+        assert f.mul(x, f.inv(x)) == 1
+
+
+def test_field_tables_spot_checks_gf_2_16():
+    f = make_field(2, 16)
+    rng = random.Random(16)
+    g = [(f.generator >> i) & 1 for i in range(16)]
+    for _ in range(20):
+        i = rng.randrange(f.q - 1)
+        x = [1] + [0] * 15
+        e = i
+        base = g
+        while e:  # square and multiply with the schoolbook product
+            if e & 1:
+                x = poly_mul_mod(x, base, list(f.modulus), 2)
+            base = poly_mul_mod(base, base, list(f.modulus), 2)
+            e >>= 1
+        v = sum(c << j for j, c in enumerate(x))
+        assert f.exp[i] == v
+        assert f.log[v] == i
+    assert sorted(f.exp.tolist()) == list(range(1, f.q))

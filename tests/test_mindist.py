@@ -253,6 +253,17 @@ def random_scaled(field, k, seed):
 
 
 @pytest.mark.parametrize("p,m,k", KERNEL_CASES)
+def test_scaled_rows_are_scalar_products(p, m, k):
+    field = make_field(p, m)
+    rng = np.random.default_rng(field.q)
+    generator = rng.integers(0, field.q, size=(k, 7)).astype(np.uint8)
+    scaled = kernels.scaled_rows(field, generator)
+    assert scaled.dtype == np.uint8 and scaled.shape == (k, field.q, 7)
+    for i, v, t in np.ndindex(scaled.shape):
+        assert scaled[i, v, t] == field.mul(v, int(generator[i, t]))
+
+
+@pytest.mark.parametrize("p,m,k", KERNEL_CASES)
 def test_exhaustive_scan_matches_reference(p, m, k, monkeypatch):
     field = make_field(p, m)
     q = field.q
