@@ -5,7 +5,7 @@ exhaustive or information-set search, and evaluate the closed-form
 minimum-distance formulas for products, dilated pyramids and step recipes.
 """
 
-from .codes import Codeword, ToricCode, build_code, evaluate, rank_check, weight, zero_count
+from .codes import Codeword, ToricCode, build_code, evaluate, rank_check
 from .formulas import (
     CodeParams,
     DecreaseCheck,
@@ -23,7 +23,6 @@ from .formulas import (
     dim_recipe,
     params_report,
     recipe_valid_for,
-    verify_recipe,
 )
 from .gf import (
     FieldElement,
@@ -38,7 +37,6 @@ from .gf import (
 from .mindist import (
     DEFAULT_BUDGET,
     MinDistResult,
-    max_zeroes,
     min_distance,
     min_distance_exhaustive,
     min_distance_isd,
@@ -53,8 +51,6 @@ from .polytopes import (
     dilate,
     double_pyramid,
     from_vertices,
-    load_polytope,
-    load_recipe,
     polytope_from_dict,
     polytope_to_dict,
     product,

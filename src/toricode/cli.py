@@ -309,12 +309,13 @@ def main(argv=None) -> int:
         if hasattr(args, "threads"):
             args.threads = _threads(args)
         return args.func(args)
-    except CliError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except AssertionError as exc:
+        # a witness that does not re-evaluate to the reported weight
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -103,14 +103,6 @@ def evaluate(code: ToricCode, coefficients) -> Codeword:
     return Codeword(code, coeffs, values)
 
 
-def weight(codeword: Codeword) -> int:
-    return codeword.weight
-
-
-def zero_count(codeword: Codeword) -> int:
-    return codeword.zero_count
-
-
 def rank_check(code: ToricCode) -> int:
     """Gaussian-elimination rank of the generator over GF(q)."""
     return gf_rank(code.field, code.generator)

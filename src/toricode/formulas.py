@@ -25,7 +25,6 @@ from .polytopes import (
     LatticePolytope,
     PyramidScale,
     Segment,
-    realize_recipe,
 )
 
 
@@ -280,17 +279,3 @@ def params_report(
             exact=result.exact,
         )
     raise TypeError(f"expected a ConstructionRecipe or LatticePolytope, got {type(obj)!r}")
-
-
-def verify_recipe(
-    recipe: ConstructionRecipe,
-    field: FieldSpec,
-    budget: int = DEFAULT_BUDGET,
-    threads: int | None = None,
-):
-    """Formula vs search on the realized polytope. Returns (formula, search)."""
-    formula = d_recipe(recipe, field.q)
-    poly = realize_recipe(recipe)
-    code = build_code(poly, field)
-    result = min_distance(code, method="auto", budget=budget, threads=threads)
-    return formula, result

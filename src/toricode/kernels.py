@@ -117,21 +117,20 @@ def exhaustive_scan(scaled, add_t, sub_t, q, max_messages):
     return best_w, best_idx
 
 
-def isd_level_scan(scaled, add_t, sub_t, supports, pivot_rows):
+def isd_level_scan(scaled, add_t, sub_t, supports):
     """Per-support minimum weight over all nonzero value patterns.
 
-    `scaled` covers the non-pivot columns only; the weight on the pivot
-    columns equals the number of support rows below `pivot_rows` and is
-    added by the kernel. Returns (weights, pattern indices), one per support.
+    `scaled` holds the rows of a systematic basis on the non-pivot columns
+    only; the weight on the pivot columns is the support size and is added
+    by the kernel. Returns (weights, pattern indices), one per support.
     """
     supports = np.ascontiguousarray(supports, dtype=np.int64)
     n_sup, w = supports.shape
     k, q, n_cols = scaled.shape
     acc = np.min_scalar_type(n_cols)
-    hits = np.count_nonzero(supports < pivot_rows, axis=1)
     if w == 1:
         weights = np.count_nonzero(scaled[supports[:, 0], 1], axis=1)
-        return hits + weights, np.zeros(n_sup, dtype=np.int64)
+        return w + weights, np.zeros(n_sup, dtype=np.int64)
     rows = np.ascontiguousarray(scaled[:, 1:].transpose(2, 0, 1))  # (N, k, q-1)
     neg_rows = sub_t[0][rows]
     # suffix = the last s rows of a support: a row pair when the table of
@@ -175,6 +174,6 @@ def isd_level_scan(scaled, add_t, sub_t, supports, pivot_rows):
             better = wmin < best_w
             best_w[better] = wmin[better]
             best_j[better] = h0 * n_pat + j[better]
-        out_w[lo:hi] = hits[lo:hi] + best_w
+        out_w[lo:hi] = w + best_w
         out_idx[lo:hi] = best_j
     return out_w, out_idx

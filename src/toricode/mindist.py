@@ -4,10 +4,11 @@ Two routes:
 
 * exhaustive -- walk all (q^k - 1)/(q - 1) projectively normalized messages
   (leading coefficient 1; scaling preserves weight);
-* isd -- an information-set method: build disjoint pivot-column sets by
-  repeated row reduction, enumerate messages of growing weight per set, and
-  stop once the combined lower bound meets the best weight found. Exact
-  whenever it terminates within budget.
+* isd -- an information-set method: one row reduction gives an information
+  set S, messages of growing weight on S are enumerated level by level, and
+  the search stops once ceil(N (w + 1) / k) -- the bound that the torus
+  translations of S give after level w -- meets the best weight found.
+  Exact whenever it terminates within budget.
 
 Both report a deterministic witness: the first message in enumeration order
 attaining the minimum.
@@ -18,7 +19,7 @@ kernels are single-threaded numpy, and results never depend on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
@@ -26,13 +27,10 @@ import numpy as np
 
 from . import kernels
 from .codes import ToricCode, evaluate
-from .gf import gf_matmul, gf_matvec, row_reduce
+from .gf import gf_matvec, row_reduce
 
 DEFAULT_BUDGET = 2**34          # codeword-symbol operations
 AUTO_EXHAUSTIVE_CAP = 1 << 22   # below this work, auto prefers exhaustive
-MAX_INFORMATION_SETS = 128
-SET_SHUFFLE_RETRIES = 8         # random column orders tried per information set
-SET_SHUFFLE_SEED = 0x5EED
 
 
 @dataclass(frozen=True)
@@ -140,81 +138,15 @@ def min_distance_exhaustive(
     )
 
 
-@dataclass
-class _InfoSet:
-    sub: np.ndarray         # k x (#non-pivot columns) uint8, systematic basis
-    transform: np.ndarray   # k x k: systematic basis = transform @ generator
-    rank: int
-    level: int = 0
-    _scaled: np.ndarray | None = field(default=None, repr=False)
-
-    def bound_term(self, k: int) -> int:
-        return max(0, self.level + 1 - (k - self.rank))
-
-    def scaled(self, spec) -> np.ndarray:
-        if self._scaled is None:
-            self._scaled = kernels.scaled_rows(spec, self.sub.astype(np.int64))
-        return self._scaled
-
-
-def _build_information_sets(spec, generator) -> list[_InfoSet]:
-    """Disjoint pivot-column sets by repeated row reduction.
-
-    Greedy column order often leaves later sets badly rank-deficient, which
-    stalls the lower bound; a few seeded shuffles of the remaining columns
-    are tried per set and the highest-rank draw wins (deterministically).
-    """
-    import random as _random
-
-    k, n_block = generator.shape
-    sets: list[_InfoSet] = []
-    current = generator
-    transform = np.eye(k, dtype=np.int64)
-    remaining = list(range(n_block))
-    rng = _random.Random(SET_SHUFFLE_SEED)
-    potential = 0  # best lower bound these sets could ever deliver
-    while remaining and len(sets) < MAX_INFORMATION_SETS and potential <= n_block:
-        best = None
-        order = list(remaining)
-        for _ in range(1 + SET_SHUFFLE_RETRIES):
-            reduced, step, pivots = row_reduce(spec, current, columns=order)
-            if best is None or len(pivots) > len(best[2]):
-                best = (reduced, step, pivots)
-            if len(best[2]) == k:
-                break
-            order = list(remaining)
-            rng.shuffle(order)
-        reduced, step, pivots = best
-        if not pivots:
-            break
-        transform = gf_matmul(spec, step, transform)
-        pivot_set = set(pivots)
-        rest = [c for c in range(n_block) if c not in pivot_set]
-        # weight on the pivot columns equals the number of support rows below
-        # the rank, so the kernels scan only the non-pivot part
-        sets.append(
-            _InfoSet(
-                sub=np.ascontiguousarray(reduced[:, rest]).astype(np.uint8),
-                transform=transform.copy(),
-                rank=len(pivots),
-            )
-        )
-        if len(sets) == 1 and len(pivots) != k:
-            raise ValueError("generator matrix is not full rank")
-        potential += len(pivots) + 1
-        remaining = [c for c in remaining if c not in pivot_set]
-        current = reduced
-    return sets
-
-
-def _isd_witness(spec, info: _InfoSet, support, pattern_idx: int, k: int, q: int):
+def _isd_witness(support, pattern_idx: int, k: int, q: int) -> np.ndarray:
+    """Message on the information set: 1 on the first support row, the pattern after."""
     w = len(support)
     msg = np.zeros(k, dtype=np.int64)
     msg[support[0]] = 1
     for i in range(w - 1, 0, -1):
         msg[support[i]] = 1 + pattern_idx % (q - 1)
         pattern_idx //= q - 1
-    return gf_matvec(spec, msg, info.transform)
+    return msg
 
 
 def min_distance_isd(
@@ -222,11 +154,27 @@ def min_distance_isd(
     budget: int = DEFAULT_BUDGET,
     threads: int | None = None,
 ) -> MinDistResult:
-    """Information-set search with matching lower/upper bounds.
+    """Information-set search bounded by the torus translations.
 
-    Terminates exactly when the lower bound from enumerated weight levels
-    reaches the best seen codeword weight; returns a non-exact
-    [lower, upper] interval if the budget runs out first.
+    One row reduction of the generator, in natural column order, gives an
+    information set S of k pivot columns and a systematic basis whose rows
+    are the identity on S. Level w enumerates every message with w nonzero
+    coefficients, that is every codeword (up to scaling) with exactly w
+    nonzeros on S. After level w every codeword not yet scanned has weight
+    at least ceil(N (w + 1) / k); before level 1 the bound is ceil(N / k).
+    The search stops as soon as that bound reaches the best weight found,
+    and returns a non-exact [lower, upper] interval if the budget runs out
+    first.
+
+    Why the bound is sound: shifting the torus exponents, j -> j + t,
+    permutes the columns and maps the code to itself, because it scales
+    monomial m by g^<m, t>. The N shifts act regularly on the columns, so
+    each column lies in exactly k translates S + t, and each translate is
+    an information set. If a codeword c has at most w nonzeros on some
+    S + t, its shift by -t has the same weight and at most w nonzeros on
+    S, so a codeword of weight wt(c) has been scanned. Every other codeword
+    has at least w + 1 nonzeros on each of the N translates; summing over
+    them counts each nonzero of c exactly k times, so k wt(c) >= N (w + 1).
     """
     spec, add_t, sub_t = _prepare(code)
     q = spec.q
@@ -234,44 +182,36 @@ def min_distance_isd(
     n_block = code.block_length
     if k * n_block > budget:
         raise ValueError(f"budget {budget} cannot scan the weight-1 level")
-    sets = _build_information_sets(spec, code.generator)
+    reduced, transform, pivots = row_reduce(spec, code.generator)
+    if len(pivots) != k:
+        raise ValueError("generator matrix is not full rank")
+    # the weight on S is the support size, so the kernel scans the other columns
+    rest = np.setdiff1d(np.arange(n_block), pivots)
+    scaled = kernels.scaled_rows(spec, reduced[:, rest])
 
     ub = n_block + 1
-    best = None  # (set index, support, pattern index)
+    lb = -(-n_block // k)  # ceil(N (w + 1) / k) after level w
+    best = None  # (support, pattern index)
     work = 0
     exact = False
-
-    def lower_bound() -> int:
-        return sum(s.bound_term(k) for s in sets)
-
     for level in range(1, k + 1):
-        supports = np.array(list(combinations(range(k), level)), dtype=np.int64)
         level_messages = comb(k, level) * (q - 1) ** (level - 1)
-        for si, info in enumerate(sets):
-            if level + 1 - (k - info.rank) <= 0:
-                continue  # cannot raise this set's bound term yet; skip its cost
-            if (work + level_messages) * n_block > budget:
-                lb = min(max(lower_bound(), 1), ub)
-                witness = _isd_witness(spec, sets[best[0]], best[1], best[2], k, q)
-                return _checked_result(code, ub, witness, "isd", work, False, lb, ub)
-            out_w, out_idx = kernels.isd_level_scan(
-                info.scaled(spec), add_t, sub_t, supports, info.rank
-            )
-            work += level_messages
-            info.level = level
-            wmin = int(out_w.min())
-            if wmin < ub:
-                ub = wmin
-                s_best = int(np.argmin(out_w))
-                best = (si, supports[s_best].copy(), int(out_idx[s_best]))
-            if lower_bound() >= ub:
-                exact = True
-                break
-        if exact or sets[0].level == k:
+        if (work + level_messages) * n_block > budget:
+            break
+        supports = np.array(list(combinations(range(k), level)), dtype=np.int64)
+        out_w, out_idx = kernels.isd_level_scan(scaled, add_t, sub_t, supports)
+        work += level_messages
+        s_best = int(np.argmin(out_w))
+        if int(out_w[s_best]) < ub:
+            ub = int(out_w[s_best])
+            best = (supports[s_best], int(out_idx[s_best]))
+        lb = -(-n_block * (level + 1) // k)
+        if lb >= ub:
+            exact = True
             break
 
-    witness = _isd_witness(spec, sets[best[0]], best[1], best[2], k, q)
-    return _checked_result(code, ub, witness, "isd", work, True, ub, ub)
+    witness = gf_matvec(spec, _isd_witness(*best, k, q), transform)
+    return _checked_result(code, ub, witness, "isd", work, exact, ub if exact else lb, ub)
 
 
 def min_distance(
@@ -294,14 +234,3 @@ def min_distance(
     if not result.exact and total_work <= budget:
         return min_distance_exhaustive(code, budget=budget, threads=threads)
     return result
-
-
-def max_zeroes(
-    code: ToricCode,
-    method: str = "auto",
-    budget: int = DEFAULT_BUDGET,
-    threads: int | None = None,
-) -> int:
-    """Largest number of torus zeroes over nonzero polynomials: N - d."""
-    result = min_distance(code, method=method, budget=budget, threads=threads)
-    return code.block_length - result.d

@@ -8,7 +8,6 @@ simplices, cross polytopes and the step-recipe builder.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -354,13 +353,3 @@ def recipe_from_dict(data: dict) -> ConstructionRecipe:
         else:
             raise ValueError(f"recipe step {i} has unknown kind {key!r}")
     return ConstructionRecipe(tuple(steps))
-
-
-def load_polytope(path: str) -> LatticePolytope:
-    with open(path, "r", encoding="utf-8") as fh:
-        return polytope_from_dict(json.load(fh))
-
-
-def load_recipe(path: str) -> ConstructionRecipe:
-    with open(path, "r", encoding="utf-8") as fh:
-        return recipe_from_dict(json.load(fh))

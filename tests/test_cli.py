@@ -168,3 +168,18 @@ def test_missing_output_directory_is_an_error(capsys, tmp_path, triangle_path, f
     assert code == 2
     assert err.startswith(f"error: cannot write {target}: ")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["mindist", "verify"])
+def test_failed_witness_check_is_one_error_line(capsys, monkeypatch, recipe_path, command):
+    from toricode import mindist
+
+    class WrongWeight:
+        weight = -1
+
+    # the search re-evaluates its witness; a mismatch raises AssertionError
+    monkeypatch.setattr(mindist, "evaluate", lambda code, witness: WrongWeight())
+    code, out, err = run_cli(capsys, [command, "--field", "5", "--recipe", recipe_path])
+    assert code == 1 and out == ""
+    assert err.startswith("error: internal check failed: witness weight -1 ")
+    assert len(err.splitlines()) == 1

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from toricode.codes import Codeword, build_code, evaluate, rank_check, weight, zero_count
+from toricode.codes import Codeword, build_code, evaluate, rank_check
 from toricode.gf import make_field
 from toricode.polytopes import (
     box,
@@ -124,7 +124,7 @@ def test_weight_plus_zero_count_is_block_length():
     for _ in range(10):
         msg = [rng.randrange(5) for _ in range(code.k)]
         cw = evaluate(code, msg)
-        assert weight(cw) + zero_count(cw) == code.block_length
+        assert cw.weight + cw.zero_count == code.block_length
         assert isinstance(cw, Codeword)
 
 

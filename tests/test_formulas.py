@@ -25,7 +25,6 @@ from toricode.formulas import (
     dim_simplex_dilate,
     params_report,
     recipe_valid_for,
-    verify_recipe,
 )
 from toricode.gf import make_field
 from toricode.mindist import min_distance, min_distance_exhaustive
@@ -141,14 +140,6 @@ def test_recipe_suffix_products_only_count_later_pyramids():
     r = ConstructionRecipe((Segment(1), PyramidScale(2), Segment(1)))
     q = 7
     assert d_recipe(r, q) == (q - 1) * (q - 1 - 2) * (q - 1 - 1)
-
-
-def test_verify_recipe_agreement():
-    field = make_field(5)
-    formula, result = verify_recipe(
-        ConstructionRecipe((Segment(1), PyramidScale(2))), field
-    )
-    assert result.exact and formula == result.d
 
 
 # ---------------------------------------------------------------------------

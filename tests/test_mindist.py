@@ -6,6 +6,7 @@ message's codeword row by row through the addition table.
 
 import itertools
 import random
+from math import comb
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from toricode import kernels
 from toricode.codes import build_code, evaluate
 from toricode.gf import make_field
 from toricode.mindist import (
-    max_zeroes,
     min_distance,
     min_distance_exhaustive,
     min_distance_isd,
@@ -92,8 +92,7 @@ def test_triangle_gf5_distance_eight():
 def test_triangle_gf8_distance_28():
     code = triangle_code(make_field(2, 3))
     r = min_distance_exhaustive(code)
-    assert (r.d, r.exact) == (28, True)
-    assert max_zeroes(code) == 21
+    assert (r.d, r.z_p, r.exact) == (28, 21, True)
 
 
 def test_origin_code_distance_is_block_length():
@@ -125,9 +124,13 @@ def test_ex4_isd_31():
 # method agreement and witness contracts
 # ---------------------------------------------------------------------------
 
+# normalized messages; keeps the exhaustive reference cheap
+EXHAUSTIVE_CASE_CAP = 1 << 21
+
+
 def small_code_instances():
     cases = []
-    for p, m in [(3, 1), (2, 2), (5, 1), (7, 1), (2, 3)]:
+    for p, m in [(3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4), (5, 2)]:
         field = make_field(p, m)
         q = field.q
         polys = [
@@ -139,8 +142,8 @@ def small_code_instances():
         for poly in polys:
             if poly is None or not poly.fits_in_cube(q):
                 continue
-            if poly.dim > 1 and q > 7:
-                continue  # keep the exhaustive reference cheap
+            if (q ** len(poly.lattice_points) - 1) // (q - 1) > EXHAUSTIVE_CASE_CAP:
+                continue
             cases.append((field, poly))
     return cases
 
@@ -214,6 +217,29 @@ def test_isd_budget_interval():
     full = min_distance_isd(code)
     assert full.exact and full.d == 24
     assert r.upper >= full.d >= r.lower
+    # budgets for exactly the messages of levels 1 and 1..2: a stopped
+    # search reports the translation bound ceil(N (w + 1) / k) of its last level
+    for field, poly in small_code_instances():
+        code = build_code(poly, field)
+        n_block, k, q = code.block_length, code.k, field.q
+        d = min_distance_exhaustive(code).d
+        for levels in (1, 2):
+            messages = k + (levels - 1) * comb(k, 2) * (q - 1)
+            r = min_distance_isd(code, budget=messages * n_block)
+            case = (q, poly.vertices, levels)
+            assert -(-n_block // k) <= r.lower <= d <= r.upper == r.d, case
+            assert evaluate(code, r.witness).weight == r.upper, case
+            if not r.exact:
+                assert r.work_count == messages, case
+                assert r.lower == -(-n_block * (levels + 1) // k), case
+
+
+def test_isd_exact_on_2_simplex3_gf7():
+    # the translation bound needs levels 1..6, about 2.0 M messages
+    code = build_code(dilate(standard_simplex(3), 2), make_field(7))
+    r = min_distance_isd(code, budget=2**31)
+    assert (code.block_length, code.k) == (216, 10)
+    assert (r.d, r.exact, r.lower, r.upper) == (144, True, 144, 144)
 
 
 def test_auto_method_dispatch():
@@ -297,15 +323,10 @@ def test_isd_level_scan_matches_reference(p, m, k, monkeypatch):
     for step in (kernels._STEP_SYMBOLS, 1):
         monkeypatch.setattr(kernels, "_STEP_SYMBOLS", step)
         for supports, ref in levels:
-            for pivot_rows in range(k + 1):
-                out_w, out_idx = kernels.isd_level_scan(
-                    scaled, add_t, sub_t, np.array(supports), pivot_rows
-                )
-                want = [
-                    (w + sum(r < pivot_rows for r in s), j)
-                    for s, (w, j) in zip(supports, ref)
-                ]
-                assert list(zip(out_w.tolist(), out_idx.tolist())) == want
+            out_w, out_idx = kernels.isd_level_scan(scaled, add_t, sub_t, np.array(supports))
+            # the support rows are the pivot columns each message hits
+            want = [(w + len(s), j) for s, (w, j) in zip(supports, ref)]
+            assert list(zip(out_w.tolist(), out_idx.tolist())) == want
 
 
 def test_thread_count_does_not_change_result():
