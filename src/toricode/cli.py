@@ -7,8 +7,9 @@ Subcommands:
   table     CSV parameter sweep of a recipe over a field range
   examples  reproduce the five golden [N, k, d] results
 
-All numeric output is deterministic for fixed inputs, independent of the
-thread count.
+All numeric output is deterministic for fixed inputs. `--threads` (or
+TORICODE_THREADS) is validated, at least 1, and not passed to the search,
+which is single-threaded.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import sys
 from importlib import resources
 
 from .codes import build_code
-from .formulas import d_recipe, params_report, recipe_valid_for
-from .gf import as_prime_power, field_for_order, parse_field
+from .formulas import d_recipe, recipe_params, recipe_valid_for
+from .gf import FIELD_CAP, as_prime_power, parse_field
 from .mindist import DEFAULT_BUDGET, min_distance
 from .polytopes import (
     box,
@@ -74,14 +75,14 @@ def _recipe_from_path(path: str):
         raise CliError(f"{path}: {exc}") from exc
 
 
-def _threads(args) -> int | None:
-    """Validated thread count; accepted for later use, no effect on the search today."""
+def _check_threads(args) -> None:
+    """Reject a thread count below 1; the count is not passed to the search."""
     if args.threads is not None:
         threads, source = args.threads, "--threads"
     else:
         env = os.environ.get("TORICODE_THREADS", "").strip()
         if not env:
-            return None
+            return
         try:
             threads = int(env)
         except ValueError as exc:
@@ -89,7 +90,6 @@ def _threads(args) -> int | None:
         source = "TORICODE_THREADS"
     if threads < 1:
         raise CliError(f"{source} must be at least 1, got {threads}")
-    return threads
 
 
 def _write(path: str, text: str) -> None:
@@ -133,9 +133,7 @@ def cmd_mindist(args) -> int:
     field = parse_field(args.field)
     poly, _ = _polytope_from_args(args)
     code = build_code(poly, field)
-    result = min_distance(
-        code, method=args.method, budget=args.budget, threads=args.threads
-    )
+    result = min_distance(code, method=args.method, budget=args.budget)
     witness = ",".join(str(int(c)) for c in result.witness)
     _emit(
         args,
@@ -155,9 +153,7 @@ def cmd_verify(args) -> int:
         raise CliError(str(exc)) from exc
     poly = realize_recipe(recipe)
     code = build_code(poly, field)
-    result = min_distance(
-        code, method=args.method, budget=args.budget, threads=args.threads
-    )
+    result = min_distance(code, method=args.method, budget=args.budget)
     status = "PASS" if (result.exact and result.d == formula) else "FAIL"
     _emit(
         args,
@@ -179,10 +175,13 @@ def cmd_table(args) -> int:
     recipe = _recipe_from_path(args.recipe)
     rows = ["q,N,k,d,rel_d,rate,method,exact"]
     for q in range(lo, hi + 1):
-        if as_prime_power(q) is None or not recipe_valid_for(recipe, q):
+        pm = as_prime_power(q)
+        if pm is None or not recipe_valid_for(recipe, q):
             rows.append(f"{q},,,,,,skipped,")
             continue
-        params = params_report(recipe, field_for_order(q))
+        if q > FIELD_CAP:
+            raise CliError(f"q = {pm[0]}^{pm[1]} exceeds the supported cap {FIELD_CAP}")
+        params = recipe_params(recipe, q)
         rows.append(
             f"{q},{params.N},{params.k},{params.d},"
             f"{params.relative_distance},{params.rate},formula,"
@@ -226,9 +225,7 @@ def cmd_examples(args) -> int:
     for label, field_text, poly_name, method, expected in GOLDEN_EXAMPLES:
         field = parse_field(field_text)
         code = build_code(_bundled_polytope(poly_name), field)
-        result = min_distance(
-            code, method=method, budget=args.budget, threads=args.threads
-        )
+        result = min_distance(code, method=method, budget=args.budget)
         got = (code.block_length, code.k, result.d)
         status = "PASS" if (got == expected and result.exact) else "FAIL"
         lines.append(
@@ -259,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--field", required=True, help="field size: p or p^m, e.g. 5 or 2^3")
         p.add_argument("--threads", type=int, default=None,
                        help="worker threads, at least 1 (default: TORICODE_THREADS); "
-                            "accepted but no effect yet: the search is single-threaded")
+                            "validated, not passed to the single-threaded search")
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                        help="search budget in codeword-symbol operations")
         p.add_argument("--out", default=None, help="write the report to a file")
@@ -307,7 +304,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if hasattr(args, "threads"):
-            args.threads = _threads(args)
+            _check_threads(args)
         return args.func(args)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -238,37 +238,40 @@ def recipe_distance_bound(recipe: ConstructionRecipe, q: int) -> Fraction:
     return (1 - Fraction(1, q - 1)) ** segments
 
 
+def recipe_params(recipe: ConstructionRecipe, q: int) -> CodeParams:
+    """CodeParams of a recipe over GF(q) from the formulas alone; builds no field."""
+    d = d_recipe(recipe, q)
+    k = dim_recipe(recipe)
+    n_block = (q - 1) ** recipe.n
+    rel = Fraction(d, n_block)
+    bound = recipe_distance_bound(recipe, q)
+    if rel > bound:
+        raise AssertionError(
+            f"relative distance {rel} exceeds the structural bound {bound}"
+        )
+    return CodeParams(
+        N=n_block,
+        k=k,
+        d=d,
+        relative_distance=rel,
+        rate=Fraction(k, n_block),
+        exact=True,
+        rel_distance_bound=bound,
+    )
+
+
 def params_report(
     obj,
     field: FieldSpec,
     method: str = "auto",
     budget: int = DEFAULT_BUDGET,
-    threads: int | None = None,
 ) -> CodeParams:
     """Assemble CodeParams for a recipe (formula d) or a polytope (search d)."""
-    q = field.q
     if isinstance(obj, ConstructionRecipe):
-        d = d_recipe(obj, q)
-        k = dim_recipe(obj)
-        n_block = (q - 1) ** obj.n
-        rel = Fraction(d, n_block)
-        bound = recipe_distance_bound(obj, q)
-        if rel > bound:
-            raise AssertionError(
-                f"relative distance {rel} exceeds the structural bound {bound}"
-            )
-        return CodeParams(
-            N=n_block,
-            k=k,
-            d=d,
-            relative_distance=rel,
-            rate=Fraction(k, n_block),
-            exact=True,
-            rel_distance_bound=bound,
-        )
+        return recipe_params(obj, field.q)
     if isinstance(obj, LatticePolytope):
         code = build_code(obj, field)
-        result = min_distance(code, method=method, budget=budget, threads=threads)
+        result = min_distance(code, method=method, budget=budget)
         n_block = code.block_length
         return CodeParams(
             N=n_block,

@@ -20,7 +20,7 @@ output.
 Lazy blocked elimination (soundness)
 ------------------------------------
 `row_reduce` is Gauss-Jordan elimination with the first nonzero row at or
-below the current rank as pivot, taking columns in the caller's order. It
+below the current rank as pivot, taking columns from left to right. It
 keeps only the k x k transform T, the product of the row operations so far,
 and takes the columns a block at a time: a block enters as T @ mat[:, block].
 Every row operation (swap, scaling, elimination) acts on all columns of
@@ -533,22 +533,20 @@ class _Arith:
         return out
 
 
-def _eliminate(ar: _Arith, mat: np.ndarray, columns):
-    """(transform, pivot_columns) of the Gauss-Jordan loop over `columns`.
+def _eliminate(ar: _Arith, mat: np.ndarray):
+    """(transform, pivot_columns) of the Gauss-Jordan loop over the columns.
 
     Lazy and column-blocked; the module docstring gives the argument that
     the result is the plain loop's.
     """
     rows, cols = mat.shape
-    order = np.arange(cols) if columns is None else np.array(list(columns), dtype=np.intp)
     t = ar.cast(np.eye(rows))
     r = 0
     pivots: list[int] = []
-    for start in range(0, order.size, _BLOCK_COLUMNS):
+    for start in range(0, cols, _BLOCK_COLUMNS):
         if r == rows:
             break
-        block = order[start : start + _BLOCK_COLUMNS]
-        x = ar.matmul(t, ar.cast(mat[:, block]))
+        x = ar.matmul(t, ar.cast(mat[:, start : start + _BLOCK_COLUMNS]))
         for j in np.flatnonzero(x[r:].any(axis=0)):
             below = np.flatnonzero(x[r:, j])
             if not below.size:
@@ -568,31 +566,31 @@ def _eliminate(ar: _Arith, mat: np.ndarray, columns):
             if hit.size:
                 x[hit, rest] = ar.sub(x[hit, rest], ar.outer(f[hit], x[r, rest]))
                 t[hit] = ar.sub(t[hit], ar.outer(f[hit], t[r]))
-            pivots.append(int(block[j]))
+            pivots.append(start + int(j))
             r += 1
             if r == rows:
                 break
     return t, pivots
 
 
-def row_reduce(spec: FieldSpec, mat: np.ndarray, columns=None):
-    """Reduced row echelon form over GF(q), pivoting only on `columns`.
+def row_reduce(spec: FieldSpec, mat: np.ndarray):
+    """Reduced row echelon form over GF(q).
 
     Returns (reduced, transform, pivot_columns) with reduced = transform @ mat
     over GF(q); pivot columns are unit vectors in `reduced`. Columns are
-    taken in the order given, each pivot on the first nonzero row at or
+    taken from left to right, each pivot on the first nonzero row at or
     below the current rank.
     """
     ar = _Arith(spec)
     mat = np.asarray(mat)
-    t, pivots = _eliminate(ar, mat, columns)
+    t, pivots = _eliminate(ar, mat)
     reduced = ar.matmul(t, ar.cast(mat))
     return reduced.astype(np.int64), t.astype(np.int64), pivots
 
 
 def gf_rank(spec: FieldSpec, mat: np.ndarray) -> int:
     """Rank over GF(q): the pivot count of row_reduce, without forming reduced."""
-    _, pivots = _eliminate(_Arith(spec), np.asarray(mat), None)
+    _, pivots = _eliminate(_Arith(spec), np.asarray(mat))
     return len(pivots)
 
 

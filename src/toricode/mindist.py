@@ -10,11 +10,15 @@ Two routes:
   translations of S give after level w -- meets the best weight found.
   Exact whenever it terminates within budget.
 
+`auto` is the ISD. Its levels split the exhaustive message set exactly,
+sum_{l=1..k} C(k, l) (q-1)^(l-1) = (q^k - 1)/(q - 1), so it never scans
+more messages than exhaustive; and a budget that covers every message
+covers every level, where level k gives ceil(N (k + 1) / k) > N >= the
+best weight, so the ISD is then exact. Exhaustive runs only when asked for
+by name, as the plain cross-check of the ISD.
+
 Both report a deterministic witness: the first message in enumeration order
 attaining the minimum.
-
-Every entry point takes `threads`; it has no effect today, because the
-kernels are single-threaded numpy, and results never depend on it.
 """
 
 from __future__ import annotations
@@ -29,8 +33,7 @@ from . import kernels
 from .codes import ToricCode, evaluate
 from .gf import gf_matvec, row_reduce
 
-DEFAULT_BUDGET = 2**34          # codeword-symbol operations
-AUTO_EXHAUSTIVE_CAP = 1 << 22   # below this work, auto prefers exhaustive
+DEFAULT_BUDGET = 2**34  # codeword-symbol operations
 
 
 @dataclass(frozen=True)
@@ -60,10 +63,6 @@ def _prepare(code: ToricCode):
         )
     add_t, sub_t = spec.kernel_tables()
     return spec, add_t, sub_t
-
-
-def _total_messages(q: int, k: int) -> int:
-    return (q**k - 1) // (q - 1)
 
 
 def _decode_message(k: int, q: int, idx: int) -> np.ndarray:
@@ -104,7 +103,6 @@ def _checked_result(code, d, witness, method, work, exact, lower, upper):
 def min_distance_exhaustive(
     code: ToricCode,
     budget: int = DEFAULT_BUDGET,
-    threads: int | None = None,
 ) -> MinDistResult:
     """Enumerate every normalized message; exact within budget.
 
@@ -116,7 +114,7 @@ def min_distance_exhaustive(
     q = spec.q
     k = code.k
     n_block = code.block_length
-    total = _total_messages(q, k)
+    total = (q**k - 1) // (q - 1)
     max_messages = min(total, budget // n_block)
     if max_messages < 1:
         raise ValueError(
@@ -152,7 +150,6 @@ def _isd_witness(support, pattern_idx: int, k: int, q: int) -> np.ndarray:
 def min_distance_isd(
     code: ToricCode,
     budget: int = DEFAULT_BUDGET,
-    threads: int | None = None,
 ) -> MinDistResult:
     """Information-set search bounded by the torus translations.
 
@@ -218,19 +215,10 @@ def min_distance(
     code: ToricCode,
     method: str = "auto",
     budget: int = DEFAULT_BUDGET,
-    threads: int | None = None,
 ) -> MinDistResult:
-    """Dispatch: 'exhaustive', 'isd', or 'auto' (exhaustive when cheap)."""
+    """Dispatch: 'exhaustive', or 'isd' (also named 'auto')."""
     if method == "exhaustive":
-        return min_distance_exhaustive(code, budget=budget, threads=threads)
-    if method == "isd":
-        return min_distance_isd(code, budget=budget, threads=threads)
-    if method != "auto":
-        raise ValueError(f"unknown method {method!r}")
-    total_work = _total_messages(code.field.q, code.k) * code.block_length
-    if total_work <= AUTO_EXHAUSTIVE_CAP:
-        return min_distance_exhaustive(code, budget=budget, threads=threads)
-    result = min_distance_isd(code, budget=budget, threads=threads)
-    if not result.exact and total_work <= budget:
-        return min_distance_exhaustive(code, budget=budget, threads=threads)
-    return result
+        return min_distance_exhaustive(code, budget=budget)
+    if method in ("auto", "isd"):
+        return min_distance_isd(code, budget=budget)
+    raise ValueError(f"unknown method {method!r}")

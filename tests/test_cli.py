@@ -61,7 +61,16 @@ def test_mindist_line_format(capsys, triangle_path):
         capsys, ["mindist", "--field", "5", "--polytope", triangle_path]
     )
     assert code == 0
-    assert out == "N=16 k=6 d=8 method=exhaustive exact=true witness=1,0,0,0,1,0\n"
+    assert out == "N=16 k=6 d=8 method=isd exact=true witness=4,4,1,4,4,4\n"
+
+
+def test_mindist_budget_below_first_level_is_an_error(capsys, triangle_path):
+    # auto is the ISD, whose first level needs k N = 96 symbol operations
+    code, out, err = run_cli(
+        capsys, ["mindist", "--field", "5", "--polytope", triangle_path, "--budget", "20"]
+    )
+    assert code == 2 and out == ""
+    assert err == "error: budget 20 cannot scan the weight-1 level\n"
 
 
 def test_mindist_accepts_recipe_input(capsys, recipe_path):
@@ -105,6 +114,26 @@ def test_table_csv_schema_and_skips(capsys, recipe_path):
     assert len(lines) == 7
     assert lines[3] == "6,,,,,,skipped,"  # 6 is not a prime power
     assert lines[2] == "5,16,6,8,1/2,3/8,formula,true"
+
+
+def test_table_builds_no_field(capsys, tmp_path):
+    from toricode import gf
+
+    path = tmp_path / "s1p1.json"
+    path.write_text(json.dumps({"steps": [{"segment": 1}, {"pyramid_scale": 1}]}))
+    cached = len(gf._FIELD_CACHE)
+    code, out, _ = run_cli(capsys, ["table", "--field-range", "4..2000", "--recipe", str(path)])
+    assert code == 0
+    assert out.splitlines()[-1] == "2000,,,,,,skipped,"
+    assert len(gf._FIELD_CACHE) == cached
+
+
+def test_table_field_cap_is_an_error(capsys, recipe_path):
+    code, out, err = run_cli(
+        capsys, ["table", "--field-range", "65536..65537", "--recipe", recipe_path]
+    )
+    assert code == 2 and out == ""
+    assert err == "error: q = 65537^1 exceeds the supported cap 65536\n"
 
 
 def test_table_bad_range(capsys, recipe_path):

@@ -243,12 +243,21 @@ def test_isd_exact_on_2_simplex3_gf7():
 
 
 def test_auto_method_dispatch():
-    small = triangle_code(make_field(5))
-    assert min_distance(small, method="auto").method == "exhaustive"
-    big = build_code(from_vertices(3, EX4_VERTICES), make_field(5))
-    assert min_distance(big, method="auto").method == "isd"
+    # auto is the ISD on every code; its levels never scan more messages
+    # than exhaustive, which stays the cross-check
+    for field, poly in small_code_instances():
+        code = build_code(poly, field)
+        auto = min_distance(code, method="auto")
+        isd = min_distance_isd(code)
+        case = (field.q, poly.vertices)
+        assert auto.method == isd.method == "isd", case
+        assert (auto.d, auto.work_count, auto.exact, auto.lower, auto.upper) == (
+            isd.d, isd.work_count, isd.exact, isd.lower, isd.upper), case
+        assert np.array_equal(auto.witness, isd.witness), case
+        assert auto.d == min_distance_exhaustive(code).d, case
+        assert auto.work_count <= (field.q**code.k - 1) // (field.q - 1), case
     with pytest.raises(ValueError):
-        min_distance(small, method="nonsense")
+        min_distance(triangle_code(make_field(5)), method="nonsense")
 
 
 def test_rejects_rank_deficient_code():
@@ -327,14 +336,6 @@ def test_isd_level_scan_matches_reference(p, m, k, monkeypatch):
             # the support rows are the pivot columns each message hits
             want = [(w + len(s), j) for s, (w, j) in zip(supports, ref)]
             assert list(zip(out_w.tolist(), out_idx.tolist())) == want
-
-
-def test_thread_count_does_not_change_result():
-    code = build_code(product(from_vertices(2, TRIANGLE), box([1])), make_field(5))
-    r1 = min_distance_isd(code, threads=1)
-    r2 = min_distance_isd(code, threads=2)
-    assert r1.d == r2.d
-    assert np.array_equal(r1.witness, r2.witness)
 
 
 # ---------------------------------------------------------------------------
