@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import FieldSpec, gf_matvec, gf_rank, torus_exponents
+from .gf import _BLOCK_COLUMNS, FieldSpec, gf_matvec, gf_rank
 from .polytopes import LatticePolytope
 
 
@@ -76,13 +76,18 @@ def build_code(
                     )
     monomials = polytope.lattice_points
     mon = np.array(monomials, dtype=np.int64)
-    exps = torus_exponents(field, polytope.dim)
-    powers = mon @ exps.T
-    np.remainder(powers, q - 1, out=powers)
     # element codes fit the narrowest unsigned type holding q - 1
     exp = field.exp.astype(np.uint8 if q <= 256 else np.uint16)
-    generator = exp[powers]
-    del powers
+    torus = (q - 1,) * polytope.dim
+    cols = (q - 1) ** polytope.dim
+    generator = np.empty((len(monomials), cols), dtype=exp.dtype)
+    # one block of columns at a time, so the int64 exponents stay small;
+    # unravel_index in C order gives the lexicographic torus order
+    for start in range(0, cols, _BLOCK_COLUMNS):
+        stop = min(start + _BLOCK_COLUMNS, cols)
+        powers = mon @ np.stack(np.unravel_index(np.arange(start, stop), torus))
+        np.remainder(powers, q - 1, out=powers)
+        generator[:, start:stop] = exp[powers]
     if allow_outside_cube and not polytope.fits_in_cube(q):
         k = gf_rank(field, generator)
     else:

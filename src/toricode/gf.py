@@ -39,6 +39,7 @@ they are skipped without a test. The loop stops once every row has a pivot;
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product as _iproduct
 
@@ -424,15 +425,13 @@ def as_prime_power(q: int) -> tuple[int, int] | None:
     """(p, m) with q = p^m, or None when q is not a prime power."""
     if q < 2:
         return None
-    for p in range(2, q + 1):
-        if q % p == 0:
-            m = 0
-            t = q
-            while t % p == 0:
-                t //= p
-                m += 1
-            return (p, m) if t == 1 else None
-    return None
+    # the smallest factor above 1 is prime, and at most sqrt(q) unless q is prime
+    p = next((f for f in range(2, math.isqrt(q) + 1) if q % f == 0), q)
+    m = 0
+    while q % p == 0:
+        q //= p
+        m += 1
+    return (p, m) if q == 1 else None
 
 
 def field_for_order(q: int) -> FieldSpec:

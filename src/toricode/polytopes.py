@@ -1,19 +1,69 @@
-"""Lattice polytopes in Z^n, V-representation only.
+"""Lattice polytopes in Z^n: the vertices and one exact integer H-representation.
 
-Membership is decided by an exact rational phase-1 simplex (Bland's rule),
-so there are no epsilon tolerances anywhere in this module. Constructions
-cover products, pyramids, double pyramids, dilates, translates, boxes,
-simplices, cross polytopes and the step-recipe builder.
+A `LatticePolytope` stores its vertices and, computed once (by
+`from_vertices`, or on first use), primitive integer rows with
+
+    P = {x in R^n : E x = e, A x <= b},   one row of A per facet.
+
+Every membership question (`lattice_points`, `contains_point`, the vertex
+pruning of `from_vertices`) evaluates these rows. No fraction
+and no floating point is used anywhere in this module. Constructions cover
+products, pyramids, double pyramids, dilates, translates, boxes, simplices,
+cross polytopes and the step-recipe builder.
+
+Soundness
+---------
+Affine hull. Exact integer elimination (`_bareiss`) of the rows v - v0
+gives the dimension d of P and its pivot coordinates c_1 < ... < c_d. For
+every other coordinate f, the cofactor null vector of d independent rows
+restricted to the columns (c_1, ..., c_d, f) is orthogonal to every v - v0
+and is nonzero at f alone among the non-pivot coordinates; these n - d rows
+are independent, so they are E, with e = E v0. The projection pi onto the
+pivot coordinates is injective on aff(P): the pivot columns of the echelon
+form are independent, so a vector of the row space of the v - v0 that
+vanishes on them is zero. Hence x is in P iff E x = e and pi(x) is in pi(P),
+and pi(P) is full-dimensional in R^d.
+
+Facets. For the full-dimensional Q = pi(P) = conv(y_i), the valid
+inequalities a.y + beta >= 0 form the cone K = {(a, beta) : (y_i, 1).(a, beta)
+>= 0 for every i}, the dual of the cone C over Q x {1}. The (y_i, 1) span
+R^{d+1}, so K is pointed and its extreme rays are dual to the facets of C;
+Q is bounded, so every facet of C is the cone over a facet of Q. The extreme
+rays of K are therefore exactly Q's facets, one ray each. The double
+description method (Fukuda & Prodon, "Double description method revisited",
+1996) finds them: start from the simplicial cone of d + 1 independent
+constraints, whose rays are cofactor null vectors; insert the other
+constraints one at a time, keep the rays on the nonnegative side and
+combine every adjacent pair that the new hyperplane separates. Two rays
+are adjacent iff no third ray is tight at every constraint tight at both
+(the combinatorial test). Each ray is divided by the gcd of its entries,
+so it is the primitive integer row of its facet.
+
+Vertices. A point of P is a vertex iff the facets tight at it have rank d;
+for d = 0, P is its single point.
+
+Box pass. `lattice_points` tests every integer point z of the shifted box
+[0, L], L = hi - lo, against A z <= b - A lo and E z = e - E lo in int64.
+For a row a, the sum_j |a_j| max(L_j, 1) bounds every entry |a_j|, every
+partial sum of a.z, and the right-hand side, which a.z attains at a vertex
+of P in the box. Checking in Python ints, before the pass, that these sums
+and the box's coordinates are below 2^63 therefore rules out overflow; a
+polytope that fails it raises ValueError.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import product as _iproduct
 
+import numpy as np
+
 Vector = tuple[int, ...]
+
+# box points tested per numpy pass of `lattice_points`
+_BOX_CHUNK = 1 << 14
 
 
 def _as_int_vector(point, n: int | None = None) -> Vector:
@@ -29,66 +79,141 @@ def _as_int_vector(point, n: int | None = None) -> Vector:
     return tuple(out)
 
 
-def _point_in_hull(x: Vector, vertices: list[Vector]) -> bool:
-    """Exact test for x in conv(vertices) via a phase-1 simplex.
+def _dot(a, x) -> int:
+    return sum(ai * xi for ai, xi in zip(a, x))
 
-    Solves: find lambda >= 0 with V^T lambda = x, sum(lambda) = 1.
+
+def _primitive(vec) -> Vector:
+    g = math.gcd(*vec)
+    return tuple(c // g for c in vec)
+
+
+def _bareiss(mat) -> tuple[list[list[int]], list[int], list[int], int]:
+    """The fraction-free (Bareiss) row echelon form of an integer matrix.
+
+    Returns (echelon, pivots, order, sign): row r < rank of the echelon form
+    has its pivot in column pivots[r] and is a combination of the original
+    rows order[0..r], rows at and past the rank are zero, and sign is the
+    parity of the row swaps. Every division is exact (Sylvester's identity),
+    and for a square nonsingular matrix the last pivot is sign * det.
     """
-    if not vertices:
-        return False
-    if x in vertices:
-        return True
-    n = len(x)
-    nv = len(vertices)
-    rows = n + 1
-    # constraint rows [A | I | b], rhs made nonnegative
-    tableau: list[list[Fraction]] = []
-    for i in range(rows):
-        if i < n:
-            coeffs = [Fraction(v[i]) for v in vertices]
-            rhs = Fraction(x[i])
-        else:
-            coeffs = [Fraction(1)] * nv
-            rhs = Fraction(1)
-        if rhs < 0:
-            coeffs = [-c for c in coeffs]
-            rhs = -rhs
-        art = [Fraction(0)] * rows
-        art[i] = Fraction(1)
-        tableau.append(coeffs + art + [rhs])
-    # cost row for: minimize sum of artificials
-    cost = [Fraction(0)] * (nv + rows + 1)
-    for i in range(rows):
-        for j in range(nv):
-            cost[j] -= tableau[i][j]
-        cost[-1] -= tableau[i][-1]
-    basis = [nv + i for i in range(rows)]
+    a = [list(row) for row in mat]
+    order = list(range(len(a)))
+    pivots: list[int] = []
+    sign = prev = 1
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        if r == len(a):
+            break
+        swap = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if swap is None:
+            continue
+        if swap != r:
+            a[r], a[swap] = a[swap], a[r]
+            order[r], order[swap] = order[swap], order[r]
+            sign = -sign
+        for i in range(r + 1, len(a)):
+            for j in range(c + 1, len(a[i])):
+                a[i][j] = (a[i][j] * a[r][c] - a[i][c] * a[r][j]) // prev
+            a[i][c] = 0
+        prev = a[r][c]
+        pivots.append(c)
+    return a, pivots, order, sign
 
-    while True:
-        enter = next((j for j in range(nv) if cost[j] < 0), None)
-        if enter is None:
-            return cost[-1] == 0
-        ratio = None
-        leave = None
-        for i in range(rows):
-            a = tableau[i][enter]
-            if a > 0:
-                r = tableau[i][-1] / a
-                if ratio is None or r < ratio or (r == ratio and basis[i] < basis[leave]):
-                    ratio = r
-                    leave = i
-        if leave is None:
-            raise AssertionError("phase-1 simplex cannot be unbounded")
-        piv = tableau[leave][enter]
-        tableau[leave] = [c / piv for c in tableau[leave]]
-        for i in range(rows):
-            if i != leave and tableau[i][enter]:
-                f = tableau[i][enter]
-                tableau[i] = [c - f * p for c, p in zip(tableau[i], tableau[leave])]
-        if cost[enter]:
-            f = cost[enter]
-            cost = [c - f * p for c, p in zip(cost, tableau[leave])]
-        basis[leave] = enter
+
+def _int_det(mat) -> int:
+    """Determinant of a small square integer matrix (1 for the empty one)."""
+    a, pivots, _, sign = _bareiss(mat)
+    if len(pivots) < len(a):
+        return 0
+    return sign * a[-1][-1] if a else 1
+
+
+def _null_vector(rows, cols) -> list[int]:
+    """Integer vector on the columns cols (k + 1 of them) orthogonal to the
+    k independent rows restricted to cols: its entries are the signed
+    maximal minors, so each row's product with it is a determinant with a
+    repeated row."""
+    return [
+        (-1) ** i * _int_det([[row[c] for c in cols if c != col] for row in rows])
+        for i, col in enumerate(cols)
+    ]
+
+
+def _extreme_rays(rows: list[Vector]) -> list[Vector]:
+    """Primitive extreme rays of {y : m.y >= 0 for every row m}, by the
+    double description method; the rows must span the whole space."""
+    width = len(rows[0])
+    start = _bareiss(rows)[2][:width]
+    rays, tight = [], []  # tight[k]: bit i for each inserted row i with rows[i].rays[k] = 0
+    for j in start:
+        ray = _null_vector([rows[i] for i in start if i != j], range(width))
+        if _dot(rows[j], ray) < 0:
+            ray = [-c for c in ray]
+        rays.append(_primitive(ray))
+        tight.append(sum(1 << i for i in start if i != j))
+    inserted = set(start)
+    for i, m in enumerate(rows):
+        if i in inserted:
+            continue
+        vals = [_dot(m, r) for r in rays]
+        kept = [k for k, v in enumerate(vals) if v >= 0]
+        new_rays = [rays[k] for k in kept]
+        new_tight = [tight[k] | (1 << i if vals[k] == 0 else 0) for k in kept]
+        for p, vp in enumerate(vals):
+            if vp <= 0:
+                continue
+            for q, vq in enumerate(vals):
+                if vq >= 0:
+                    continue
+                common = tight[p] & tight[q]
+                if common.bit_count() < width - 2:
+                    continue
+                if any((common & ~z) == 0 for k, z in enumerate(tight) if k != p and k != q):
+                    continue
+                new_rays.append(_primitive([vp * a - vq * b for a, b in zip(rays[q], rays[p])]))
+                new_tight.append(common | 1 << i)
+        rays, tight = new_rays, new_tight
+    return rays
+
+
+@dataclass(frozen=True)
+class HalfSpaces:
+    """P = {x : a.x == c for (a, c) in equalities, a.x <= c for (a, c) in facets}.
+
+    Every row is primitive; there is one facet row per facet of P and
+    n - dim(P) equality rows.
+    """
+
+    equalities: tuple[tuple[Vector, int], ...]
+    facets: tuple[tuple[Vector, int], ...]
+
+
+def _halfspaces(points: list[Vector]) -> HalfSpaces:
+    """The exact H-representation of conv(points); see the module docstring."""
+    v0 = points[0]
+    n = len(v0)
+    diffs = [tuple(c - c0 for c, c0 in zip(v, v0)) for v in points[1:]]
+    _, pivots, order, _ = _bareiss(diffs)
+    basis = [diffs[i] for i in order[: len(pivots)]]
+    equalities = []
+    for f in range(n):
+        if f not in pivots:
+            row = [0] * n
+            cols = pivots + [f]
+            for c, x in zip(cols, _null_vector(basis, cols)):
+                row[c] = x
+            row = _primitive(row)
+            equalities.append((row, _dot(row, v0)))
+    facets = []
+    if pivots:
+        # a ray (a, beta) of K is the facet a.pi(x) + beta >= 0
+        for ray in _extreme_rays([tuple(v[c] for c in pivots) + (1,) for v in points]):
+            row = [0] * n
+            for c, a in zip(pivots, ray):
+                row[c] = -a
+            facets.append((tuple(row), ray[-1]))
+    return HalfSpaces(tuple(equalities), tuple(facets))
 
 
 @dataclass(frozen=True)
@@ -102,12 +227,17 @@ class LatticePolytope:
         if not self.vertices:
             raise ValueError("a polytope needs at least one vertex")
 
+    @cached_property
+    def halfspaces(self) -> HalfSpaces:
+        """Equalities and facets, computed once; see the module docstring."""
+        return _halfspaces(list(self.vertices))
+
     def contains_point(self, point) -> bool:
         x = _as_int_vector(point, self.dim)
-        lo, hi = self.bounding_box
-        if any(not lo[i] <= x[i] <= hi[i] for i in range(self.dim)):
-            return False
-        return _point_in_hull(x, list(self.vertices))
+        h = self.halfspaces
+        return all(_dot(a, x) == c for a, c in h.equalities) and all(
+            _dot(a, x) <= c for a, c in h.facets
+        )
 
     @cached_property
     def bounding_box(self) -> tuple[Vector, Vector]:
@@ -119,11 +249,40 @@ class LatticePolytope:
     def lattice_points(self) -> tuple[Vector, ...]:
         """All integer points of the polytope in lexicographic order.
 
-        This order is frozen: it is the generator-matrix row order.
+        This order is frozen: it is the generator-matrix row order. The box
+        is tested in C order (last coordinate fastest), which is
+        lexicographic, `_BOX_CHUNK` points per numpy pass.
         """
         lo, hi = self.bounding_box
-        ranges = [range(lo[i], hi[i] + 1) for i in range(self.dim)]
-        return tuple(p for p in _iproduct(*ranges) if self.contains_point(p))
+        h = self.halfspaces
+        span = [b - a for a, b in zip(lo, hi)]
+        rows = h.equalities + h.facets
+        bound = max(
+            [abs(c) for c in lo + hi]
+            + [sum(abs(a) * max(s, 1) for a, s in zip(row, span)) for row, _ in rows]
+        )
+        if bound >= 1 << 63:
+            raise ValueError(
+                f"polytope too large for the int64 lattice-point pass: "
+                f"a row or coordinate bound reaches {bound} >= 2^63"
+            )
+
+        def shifted(pairs):
+            mat = np.array([row for row, _ in pairs], dtype=np.int64).reshape(-1, self.dim)
+            rhs = np.array([c - _dot(row, lo) for row, c in pairs], dtype=np.int64)
+            return mat, rhs[:, None]
+
+        eq, eq_rhs = shifted(h.equalities)
+        ineq, ineq_rhs = shifted(h.facets)
+        shape = tuple(s + 1 for s in span)
+        total = math.prod(shape)
+        found = []
+        for start in range(0, total, _BOX_CHUNK):
+            z = np.stack(np.unravel_index(np.arange(start, min(start + _BOX_CHUNK, total)), shape))
+            keep = (ineq @ z <= ineq_rhs).all(axis=0) & (eq @ z == eq_rhs).all(axis=0)
+            found.append(z[:, keep])
+        points = np.concatenate(found, axis=1).T + np.array(lo, dtype=np.int64)
+        return tuple(map(tuple, points.tolist()))
 
     def fits_in_cube(self, q: int) -> bool:
         """True iff the polytope lies in [0, q-2]^n."""
@@ -141,11 +300,15 @@ def from_vertices(n: int, points) -> LatticePolytope:
     if not pts:
         raise ValueError("empty vertex list")
     unique = sorted(set(pts))
-    extreme = [
+    h = _halfspaces(unique)
+    d = n - len(h.equalities)
+    extreme = tuple(
         p for p in unique
-        if not _point_in_hull(p, [v for v in unique if v != p])
-    ]
-    return LatticePolytope(n, tuple(extreme))
+        if len(_bareiss([a for a, c in h.facets if _dot(a, p) == c])[1]) == d
+    )
+    poly = LatticePolytope(n, extreme)
+    poly.__dict__["halfspaces"] = h  # conv(unique) == conv(extreme)
+    return poly
 
 
 def product(p: LatticePolytope, q: LatticePolytope) -> LatticePolytope:
@@ -203,27 +366,6 @@ def cross_polytope(n: int, k: int) -> LatticePolytope:
         for s in (2 * k, 0):
             vertices.append(tuple(s if j == i else k for j in range(n)))
     return from_vertices(n, vertices)
-
-
-def _int_det(mat: list[list[int]]) -> int:
-    """Fraction-free Bareiss determinant of a small integer matrix."""
-    n = len(mat)
-    a = [[int(c) for c in row] for row in mat]
-    sign = 1
-    prev = 1
-    for i in range(n - 1):
-        if a[i][i] == 0:
-            swap = next((r for r in range(i + 1, n) if a[r][i]), None)
-            if swap is None:
-                return 0
-            a[i], a[swap] = a[swap], a[i]
-            sign = -sign
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                a[r][c] = (a[r][c] * a[i][i] - a[r][i] * a[i][c]) // prev
-            a[r][i] = 0
-        prev = a[i][i]
-    return sign * a[-1][-1]
 
 
 def unimodular_transform(p: LatticePolytope, u, t) -> LatticePolytope:

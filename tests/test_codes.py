@@ -5,8 +5,9 @@ import random
 import numpy as np
 import pytest
 
+from toricode import codes as codes_module
 from toricode.codes import Codeword, build_code, evaluate, rank_check
-from toricode.gf import make_field
+from toricode.gf import field_for_order, make_field, torus_exponents
 from toricode.polytopes import (
     box,
     dilate,
@@ -77,8 +78,6 @@ def test_generator_entries_match_direct_evaluation():
     field = make_field(5)
     code = triangle_code()
     g = field.generator
-    from toricode.gf import torus_exponents
-
     exps = torus_exponents(field, 2)
     for r, mono in enumerate(code.monomials):
         for c in range(code.block_length):
@@ -87,6 +86,27 @@ def test_generator_entries_match_direct_evaluation():
                 field.pow(field.pow(g, int(exps[c, 1])), mono[1]),
             )
             assert code.generator[r, c] == expected
+
+
+@pytest.mark.parametrize("block", [1, 7, None])
+@pytest.mark.parametrize("q", [2, 3, 4, 7, 8, 9, 16, 27, 257])
+def test_blocked_generator_matches_one_piece_evaluation(q, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(codes_module, "_BLOCK_COLUMNS", block)
+    field = field_for_order(q)
+    polys = [from_vertices(1, [(-2,), (3,)])]  # negative exponents too
+    if q <= 27:  # keeps the one-column blocks of GF(257) to 256 columns
+        polys += [
+            from_vertices(2, [(-1, 1), (2, 0), (0, 2)]),
+            from_vertices(3, EX4_VERTICES),
+        ]
+    dtype = np.uint8 if q <= 256 else np.uint16
+    for poly in polys:
+        code = build_code(poly, field, allow_outside_cube=True)
+        mon = np.array(poly.lattice_points, dtype=np.int64)
+        want = field.exp.astype(dtype)[(mon @ torus_exponents(field, poly.dim).T) % (q - 1)]
+        assert code.generator.dtype == dtype
+        assert np.array_equal(code.generator, want)
 
 
 # ---------------------------------------------------------------------------

@@ -369,6 +369,26 @@ def reference_log_tables(spec):
     return exp, log
 
 
+def reference_prime_power(q):
+    """(p, m) with p the smallest divisor above 1, found by trying every p up to q."""
+    for p in range(2, q + 1):
+        if q % p == 0:
+            m = 0
+            while q % p == 0:
+                q //= p
+                m += 1
+            return (p, m) if q == 1 else None
+    return None
+
+
+def test_as_prime_power_matches_trial_division_to_q():
+    for q in list(range(-2, 5000)) + [65521, 65535, 65536, 65537]:
+        assert as_prime_power(q) == reference_prime_power(q), q
+    assert as_prime_power(65537) == (65537, 1)
+    assert as_prime_power(65536) == (2, 16)
+    assert as_prime_power(65535) is None
+
+
 PRIME_POWERS_TO_256 = [q for q in range(2, 257) if as_prime_power(q)]
 
 

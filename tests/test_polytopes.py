@@ -1,5 +1,7 @@
 """Lattice polytope construction and enumeration tests."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -40,6 +42,69 @@ def barycentric_in_triangle(x, verts):
     l3 = Fraction((x2 - x1) * (x[1] - y1) - (x[0] - x1) * (y2 - y1), det)
     l1 = 1 - l2 - l3
     return l1 >= 0 and l2 >= 0 and l3 >= 0
+
+
+def reference_in_hull(x, vertices):
+    """Exact test for x in conv(vertices) via a rational phase-1 simplex
+    with Bland's rule: an oracle that shares nothing with the facets.
+
+    Solves: find lambda >= 0 with V^T lambda = x, sum(lambda) = 1.
+    """
+    if not vertices:
+        return False
+    if x in vertices:
+        return True
+    n = len(x)
+    nv = len(vertices)
+    rows = n + 1
+    # constraint rows [A | I | b], rhs made nonnegative
+    tableau: list[list[Fraction]] = []
+    for i in range(rows):
+        if i < n:
+            coeffs = [Fraction(v[i]) for v in vertices]
+            rhs = Fraction(x[i])
+        else:
+            coeffs = [Fraction(1)] * nv
+            rhs = Fraction(1)
+        if rhs < 0:
+            coeffs = [-c for c in coeffs]
+            rhs = -rhs
+        art = [Fraction(0)] * rows
+        art[i] = Fraction(1)
+        tableau.append(coeffs + art + [rhs])
+    # cost row for: minimize sum of artificials
+    cost = [Fraction(0)] * (nv + rows + 1)
+    for i in range(rows):
+        for j in range(nv):
+            cost[j] -= tableau[i][j]
+        cost[-1] -= tableau[i][-1]
+    basis = [nv + i for i in range(rows)]
+
+    while True:
+        enter = next((j for j in range(nv) if cost[j] < 0), None)
+        if enter is None:
+            return cost[-1] == 0
+        ratio = None
+        leave = None
+        for i in range(rows):
+            a = tableau[i][enter]
+            if a > 0:
+                r = tableau[i][-1] / a
+                if ratio is None or r < ratio or (r == ratio and basis[i] < basis[leave]):
+                    ratio = r
+                    leave = i
+        if leave is None:
+            raise AssertionError("phase-1 simplex cannot be unbounded")
+        piv = tableau[leave][enter]
+        tableau[leave] = [c / piv for c in tableau[leave]]
+        for i in range(rows):
+            if i != leave and tableau[i][enter]:
+                f = tableau[i][enter]
+                tableau[i] = [c - f * p for c, p in zip(tableau[i], tableau[leave])]
+        if cost[enter]:
+            f = cost[enter]
+            cost = [c - f * p for c, p in zip(cost, tableau[leave])]
+        basis[leave] = enter
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +193,87 @@ def test_lattice_points_match_membership_over_bounding_box():
         if p.contains_point((x, y))
     ]
     assert list(p.lattice_points) == expected
+
+
+def random_hull_case(rng):
+    """A dimension n in 1..4 and 1-8 integer points in [-3, 5]^n.
+
+    About 40 % are affine images of Z^k with k < n (repeated points,
+    collinear points, coplanar points); the rest are drawn from a window of
+    [-3, 5]^n small enough that the Fraction reference stays affordable on
+    every point of the bounding box.
+    """
+    n = rng.randint(1, 4)
+    if n > 1 and rng.random() < 0.4:
+        k = rng.randrange(min(n, 3))
+        while True:
+            base = [rng.randint(-3, 5) for _ in range(n)]
+            dirs = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(k)]
+            pts = []
+            for _ in range(rng.randint(1, 8)):
+                ts = [rng.randint(0, 3 - k) for _ in range(k)]
+                pts.append(tuple(b + sum(t * d[i] for t, d in zip(ts, dirs))
+                                 for i, b in enumerate(base)))
+            if all(-3 <= c <= 5 for p in pts for c in p):
+                return n, pts
+    width = rng.randint(1, (8, 5, 2, 1)[n - 1])
+    lo = [rng.randint(-3, 5 - width) for _ in range(n)]
+    return n, [tuple(rng.randint(a, a + width) for a in lo) for _ in range(rng.randint(1, 8))]
+
+
+def test_halfspaces_match_the_simplex_reference_seeded_sweep():
+    rng = random.Random(2009)
+    mismatches = []
+    for _ in range(600):
+        n, pts = random_hull_case(rng)
+        unique = sorted(set(pts))
+        vertices = [p for p in unique if not reference_in_hull(p, [v for v in unique if v != p])]
+        lo = [min(c) for c in zip(*unique)]
+        hi = [max(c) for c in zip(*unique)]
+        box_points = list(itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)]))
+        inside = [reference_in_hull(x, vertices) for x in box_points]
+        poly = from_vertices(n, pts)
+        if (
+            list(poly.vertices) != vertices
+            or list(poly.lattice_points) != [x for x, i in zip(box_points, inside) if i]
+            or [poly.contains_point(x) for x in box_points] != inside
+        ):
+            mismatches.append((n, pts))
+    assert mismatches == []
+
+
+@pytest.mark.parametrize(
+    "make,dim,facets,points",
+    [
+        (lambda: box([1] * 6), 6, 12, 64),
+        (lambda: cross_polytope(6, 1), 6, 64, 13),
+        (lambda: pyramid(box([1] * 4)), 5, 9, 17),
+        (lambda: from_vertices(3, [(0, 0, 0), (2, 4, 6)]), 1, 2, 3),
+        (lambda: from_vertices(3, [(1, 2, 3)]), 0, 0, 1),
+    ],
+)
+def test_facet_and_equality_counts(make, dim, facets, points):
+    p = make()
+    h = p.halfspaces
+    assert len(h.equalities) == p.dim - dim
+    assert len(h.facets) == facets
+    assert len(p.lattice_points) == points
+    assert all(math.gcd(*row) == 1 for row, _ in h.equalities + h.facets)
+
+
+def test_halfspaces_of_a_segment_in_space():
+    seg = from_vertices(3, [(2, 4, 6), (0, 0, 0), (1, 2, 3)])
+    assert seg.vertices == ((0, 0, 0), (2, 4, 6))
+    assert seg.lattice_points == ((0, 0, 0), (1, 2, 3), (2, 4, 6))
+    assert not seg.contains_point((1, 2, 4))
+    assert not seg.contains_point((3, 6, 9))
+
+
+def test_lattice_points_beyond_int64_is_one_value_error():
+    far = from_vertices(2, [(1 << 63, 0)])
+    assert far.contains_point((1 << 63, 0))
+    with pytest.raises(ValueError, match="2\\^63"):
+        far.lattice_points
 
 
 # ---------------------------------------------------------------------------
