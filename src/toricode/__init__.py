@@ -24,16 +24,7 @@ from .formulas import (
     params_report,
     recipe_valid_for,
 )
-from .gf import (
-    FieldElement,
-    FieldSpec,
-    field_for_order,
-    make_field,
-    parse_field,
-    primitive_element,
-    torus_exponents,
-    torus_points,
-)
+from .gf import FieldSpec, field_for_order, make_field, parse_field, torus_exponents
 from .mindist import (
     DEFAULT_BUDGET,
     MinDistResult,

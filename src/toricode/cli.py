@@ -30,6 +30,7 @@ from .polytopes import (
     product,
     pyramid,
     realize_recipe,
+    recipe_from_dict,
 )
 
 
@@ -51,23 +52,21 @@ def _load_json(path: str, kind: str):
 
 def _polytope_from_args(args) -> "tuple":
     """Resolve --polytope / --recipe into (polytope, label)."""
-    if getattr(args, "polytope", None) and getattr(args, "recipe", None):
+    if args.polytope and args.recipe:
         raise CliError("give exactly one of --polytope or --recipe")
-    if getattr(args, "polytope", None):
+    if args.polytope:
         data = _load_json(args.polytope, "polytope")
         try:
             return polytope_from_dict(data), args.polytope
         except ValueError as exc:
             raise CliError(f"{args.polytope}: {exc}") from exc
-    if getattr(args, "recipe", None):
+    if args.recipe:
         recipe = _recipe_from_path(args.recipe)
         return realize_recipe(recipe), args.recipe
     raise CliError("an input is required: --polytope FILE or --recipe FILE")
 
 
 def _recipe_from_path(path: str):
-    from .polytopes import recipe_from_dict
-
     data = _load_json(path, "recipe")
     try:
         return recipe_from_dict(data)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import _BLOCK_COLUMNS, FieldSpec, gf_matvec, gf_rank
+from .gf import _BLOCK_COLUMNS, KERNEL_FIELD_CAP, FieldSpec, gf_matvec, gf_rank
 from .polytopes import LatticePolytope
 
 
@@ -77,7 +77,7 @@ def build_code(
     monomials = polytope.lattice_points
     mon = np.array(monomials, dtype=np.int64)
     # element codes fit the narrowest unsigned type holding q - 1
-    exp = field.exp.astype(np.uint8 if q <= 256 else np.uint16)
+    exp = field.exp.astype(np.uint8 if q <= KERNEL_FIELD_CAP else np.uint16)
     torus = (q - 1,) * polytope.dim
     cols = (q - 1) ** polytope.dim
     generator = np.empty((len(monomials), cols), dtype=exp.dtype)

@@ -1,7 +1,9 @@
 """Exact arithmetic in GF(p^m) with log/antilog tables.
 
-Elements are canonical integers in [0, q): the residue polynomial
-c_0 + c_1 x + ... + c_{m-1} x^{m-1} is encoded as sum(c_i * p^i).
+Elements are canonical integers in [0, q), the only element model: the
+residue polynomial c_0 + c_1 x + ... + c_{m-1} x^{m-1} is encoded as
+sum(c_i * p^i), and every function takes and returns plain integers or
+integer arrays.
 Multiplication goes through discrete logs with respect to a fixed
 generator of the multiplicative group, so repeated products in hot
 loops are table lookups.
@@ -40,28 +42,11 @@ they are skipped without a test. The loop stops once every row has a pivot;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import product as _iproduct
 
 import numpy as np
 
 FIELD_CAP = 1 << 16
 KERNEL_FIELD_CAP = 256  # dense q x q uint8 tables: search kernels and matrix arithmetic
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -234,12 +219,6 @@ class FieldSpec:
 
     # -- scalar arithmetic on canonical integers
 
-    def check(self, a: int) -> int:
-        a = int(a)
-        if not 0 <= a < self.q:
-            raise ValueError(f"{a} is not a canonical element of {self!r}")
-        return a
-
     def add(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a + b) % self.p
@@ -340,58 +319,6 @@ class FieldSpec:
             self._mul_u8 = self._table(self.mul_arrays)
         return self._mul_u8
 
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(self, self.check(value))
-
-    def elements(self):
-        return (FieldElement(self, v) for v in range(self.q))
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A canonical element of a FieldSpec with operator sugar."""
-
-    spec: FieldSpec
-    value: int
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.spec != self.spec:
-                raise ValueError(f"mixed fields: {self.spec!r} vs {other.spec!r}")
-            return other.value
-        return self.spec.check(other)
-
-    def __add__(self, other):
-        return FieldElement(self.spec, self.spec.add(self.value, self._coerce(other)))
-
-    def __sub__(self, other):
-        return FieldElement(self.spec, self.spec.sub(self.value, self._coerce(other)))
-
-    def __mul__(self, other):
-        return FieldElement(self.spec, self.spec.mul(self.value, self._coerce(other)))
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        return FieldElement(self.spec, self.spec.mul(self.value, self.spec.inv(o)))
-
-    def __neg__(self):
-        return FieldElement(self.spec, self.spec.neg(self.value))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.spec, self.spec.pow(self.value, e))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.inv(self.value))
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __repr__(self) -> str:
-        return f"{self.spec!r}:{self.value}"
-
 
 _FIELD_CACHE: dict[tuple[int, int], FieldSpec] = {}
 
@@ -400,7 +327,7 @@ def make_field(p: int, m: int = 1) -> FieldSpec:
     """Build GF(p^m) over the smallest-encoding monic irreducible modulus."""
     p = int(p)
     m = int(m)
-    if not is_prime(p):
+    if as_prime_power(p) != (p, 1):
         raise ValueError(f"{p} is not prime")
     if m < 1:
         raise ValueError(f"extension degree must be positive, got {m}")
@@ -415,10 +342,12 @@ def make_field(p: int, m: int = 1) -> FieldSpec:
 def parse_field(descriptor: str) -> FieldSpec:
     """Parse a CLI field descriptor like '5' or '2^3'."""
     text = str(descriptor).strip()
-    if "^" in text:
-        base, _, exp = text.partition("^")
-        return make_field(int(base), int(exp))
-    return make_field(int(text), 1)
+    base, caret, exp = text.partition("^")
+    try:
+        p, m = int(base), int(exp) if caret else 1
+    except ValueError:
+        raise ValueError(f"bad field {descriptor!r}; expected p or p^m") from None
+    return make_field(p, m)
 
 
 def as_prime_power(q: int) -> tuple[int, int] | None:
@@ -442,11 +371,6 @@ def field_for_order(q: int) -> FieldSpec:
     return make_field(*pm)
 
 
-def primitive_element(spec: FieldSpec) -> FieldElement:
-    """Smallest canonical generator of the multiplicative group."""
-    return FieldElement(spec, spec.generator)
-
-
 def torus_exponents(spec: FieldSpec, n: int) -> np.ndarray:
     """All exponent vectors (j_1..j_n) in [0, q-2]^n, lexicographic order.
 
@@ -458,14 +382,6 @@ def torus_exponents(spec: FieldSpec, n: int) -> np.ndarray:
     r = spec.q - 1
     grids = np.meshgrid(*([np.arange(r, dtype=np.int64)] * n), indexing="ij")
     return np.stack(grids, axis=-1).reshape(-1, n)
-
-
-def torus_points(spec: FieldSpec, n: int) -> list[tuple[FieldElement, ...]]:
-    """The (q-1)^n points of the torus in frozen enumeration order."""
-    if n < 1:
-        raise ValueError(f"torus dimension must be positive, got {n}")
-    coords = [FieldElement(spec, int(v)) for v in spec.exp]
-    return [tuple(coords[j] for j in js) for js in _iproduct(range(spec.q - 1), repeat=n)]
 
 
 # ---------------------------------------------------------------------------

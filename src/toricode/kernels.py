@@ -37,12 +37,20 @@ Prefix batching (ISD)
 ---------------------
 A support splits into a prefix and a suffix of s rows: s = 2 (a row pair)
 from level 3 on when the table of every pair's (q-1)^2 value patterns is
-small, else s = 1. Supports arrive in `combinations` order, so those sharing
-a prefix are contiguous. Their heads (value 1 on r_0, every pattern on the
-rest of the prefix) are built once and compared against the suffix patterns
-of every support in the group at once. Pattern index = head index *
-(q-1)^s + suffix pattern, so a per-support argmin over heads (outer) and
-suffix patterns (inner) recovers the first minimum.
+small, else s = 1. The supports of one call are every w-subset of
+range(k) in `combinations` order, so those sharing a prefix are contiguous.
+Their heads (value 1 on r_0, every pattern on the rest of the prefix) are
+built once and compared against the suffix patterns of every support in
+the group at once. Pattern index = head index * (q-1)^s + suffix pattern,
+so a per-support argmin over heads (outer) and suffix patterns (inner)
+recovers the first minimum.
+
+A group whose prefix ends at row a holds exactly the s-subsets of rows
+a+1..k-1, each once and in `combinations` order. In the table of every
+s-subset of range(k) in that order (rows for s = 1, `np.triu_indices`
+pairs for s = 2) those are the last C(k-1-a, s) entries, since every
+earlier entry contains a row at most a. So the group's suffix block is the
+last m columns of that table, a view; no per-group gather is made.
 """
 
 from __future__ import annotations
@@ -122,7 +130,9 @@ def isd_level_scan(scaled, add_t, sub_t, supports):
 
     `scaled` holds the rows of a systematic basis on the non-pivot columns
     only; the weight on the pivot columns is the support size and is added
-    by the kernel. Returns (weights, pattern indices), one per support.
+    by the kernel. `supports` must be every w-subset of range(k) in
+    `combinations` order (see Prefix batching). Returns (weights, pattern
+    indices), one per support.
     """
     supports = np.ascontiguousarray(supports, dtype=np.int64)
     n_sup, w = supports.shape
@@ -135,19 +145,16 @@ def isd_level_scan(scaled, add_t, sub_t, supports):
     neg_rows = sub_t[0][rows]
     # suffix = the last s rows of a support: a row pair when the table of
     # every pair's value patterns is small, else the last row alone;
-    # suffixes[:, id] holds the suffix's value patterns in pattern order
+    # suffixes[:, i] holds the value patterns of the i-th s-subset of
+    # range(k) in combinations order, in pattern order
     r1, r2 = np.triu_indices(k, 1)  # row pairs in combinations order
     if w >= 3 and len(r1) * (q - 1) ** 2 * n_cols <= _STEP_SYMBOLS:
         s = 2
-        pair_id = np.zeros((k, k), dtype=np.int64)
-        pair_id[r1, r2] = np.arange(len(r1))
         suffixes = table_lookup(add_t, rows[:, r1, :, None], rows[:, r2, None, :])
         suffixes = suffixes.reshape(n_cols, len(r1), -1)
-        suffix_ids = pair_id[supports[:, -2], supports[:, -1]]
     else:
         s = 1
         suffixes = rows
-        suffix_ids = supports[:, -1]
     n_pat = (q - 1) ** s
     out_w = np.empty(n_sup, dtype=np.int64)
     out_idx = np.empty(n_sup, dtype=np.int64)
@@ -160,8 +167,9 @@ def isd_level_scan(scaled, add_t, sub_t, supports):
         for row in prefix[1:]:
             neg_heads = table_lookup(add_t, neg_heads[:, :, None], neg_rows[:, row, None, :])
             neg_heads = neg_heads.reshape(n_cols, -1)
+        # the group's suffixes are the last m s-subsets (see Prefix batching)
         m = hi - lo
-        block = suffixes[:, suffix_ids[lo:hi]].reshape(n_cols, m * n_pat)
+        block = suffixes[:, -m:].reshape(n_cols, m * n_pat)
         best_w = np.full(m, n_cols + 1, dtype=np.int64)
         best_j = np.zeros(m, dtype=np.int64)
         step = max(1, _STEP_SYMBOLS // block.size)

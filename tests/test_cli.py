@@ -1,11 +1,23 @@
 """CLI behaviour: output formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from toricode.cli import main
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+GOLDEN_LINES = [
+    "q=5 P=triangle N=16 k=6 d=8 PASS",
+    "q=8 P=triangle N=49 k=6 d=28 PASS",
+    "q=5 P=prism N=64 k=12 d=24 PASS",
+    "q=5 P=pyramid(triangle) N=64 k=7 d=32 PASS",
+    "q=5 P=ex4 N=64 k=13 d=31 PASS",
+]
 TRIANGLE_JSON = {"n": 2, "vertices": [[1, 0], [0, 3], [3, 1]]}
 SIMPLEX2_RECIPE = {"steps": [{"segment": 1}, {"pyramid_scale": 2}]}
 
@@ -136,6 +148,13 @@ def test_table_field_cap_is_an_error(capsys, recipe_path):
     assert err == "error: q = 65537^1 exceeds the supported cap 65536\n"
 
 
+@pytest.mark.parametrize("field", ["abc", "2^", "2^x"])
+def test_malformed_field_is_one_error_line(capsys, triangle_path, field):
+    code, out, err = run_cli(capsys, ["build", "--field", field, "--polytope", triangle_path])
+    assert code == 2 and out == ""
+    assert err == f"error: bad field '{field}'; expected p or p^m\n"
+
+
 def test_table_bad_range(capsys, recipe_path):
     code, _, err = run_cli(capsys, ["table", "--field-range", "9", "--recipe", recipe_path])
     assert code == 2 and "field-range" in err
@@ -152,13 +171,17 @@ def test_json_error_reports_byte_offset(capsys, tmp_path):
 def test_examples_golden_lines(capsys):
     code, out, _ = run_cli(capsys, ["examples"])
     assert code == 0
-    assert out.splitlines() == [
-        "q=5 P=triangle N=16 k=6 d=8 PASS",
-        "q=8 P=triangle N=49 k=6 d=28 PASS",
-        "q=5 P=prism N=64 k=12 d=24 PASS",
-        "q=5 P=pyramid(triangle) N=64 k=7 d=32 PASS",
-        "q=5 P=ex4 N=64 k=13 d=31 PASS",
-    ]
+    assert out.splitlines() == GOLDEN_LINES
+
+
+def test_python_m_toricode_runs_examples():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "toricode", "examples"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == GOLDEN_LINES
 
 
 def test_examples_deterministic_across_thread_counts(capsys):
