@@ -1,9 +1,11 @@
 """Toric code construction over GF(q).
 
 The generator matrix entry for monomial m and the torus point with exponent
-vector j is g^{<m, j> mod (q-1)}: evaluation reduces to integer dot products
-followed by an antilog lookup. Row order is the lattice-point order of the
-polytope, column order the torus order; both are frozen contracts.
+vector j is g^{<m, j> mod (q-1)} = prod_i g^{m_i j_i}: its log is a sum of n
+per-axis logs m_i j_i mod (q-1), each taking only q-1 values per row, and one
+antilog lookup maps the sum to the element. Row order is the lattice-point
+order of the polytope, column order the torus order; both are frozen
+contracts.
 """
 
 from __future__ import annotations
@@ -12,8 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import _BLOCK_COLUMNS, KERNEL_FIELD_CAP, FieldSpec, gf_matvec, gf_rank
+from .gf import KERNEL_FIELD_CAP, FieldSpec, gf_matvec, gf_rank
 from .polytopes import LatticePolytope
+
+GENERATOR_CAP = 1 << 24  # generator entries k x (q-1)^n, checked before building
+# generator entries filled per chunk of rows, which bounds the temporaries
+_CHUNK_ENTRIES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -64,6 +70,10 @@ def build_code(
     The polytope must lie in [0, q-2]^n so that the monomial evaluations are
     linearly independent and dim = |P o Z^n|. With allow_outside_cube the
     code is built anyway and k is defined as the generator rank.
+
+    A generator of more than GENERATOR_CAP entries is a ValueError raised
+    before anything is allocated. Under the cap (q-1)^n <= 2^24, so a sum of
+    n per-axis logs is at most n(q-2) < 2^16 and fits uint16.
     """
     q = field.q
     if not allow_outside_cube:
@@ -74,20 +84,30 @@ def build_code(
                         f"polytope does not fit in [0, {q - 2}]^{polytope.dim} "
                         f"for q = {q}: vertex {v} has coordinate {c} at axis {i}"
                     )
+    n = polytope.dim
+    r = q - 1
+    cols = r**n
+    # a torus over the cap is refused before the lattice points are enumerated
+    rows = "k" if cols > GENERATOR_CAP else len(polytope.lattice_points)
+    if cols > GENERATOR_CAP or rows * cols > GENERATOR_CAP:
+        raise ValueError(f"generator of {rows} x {cols} entries exceeds the cap {GENERATOR_CAP}")
     monomials = polytope.lattice_points
-    mon = np.array(monomials, dtype=np.int64)
     # element codes fit the narrowest unsigned type holding q - 1
     exp = field.exp.astype(np.uint8 if q <= KERNEL_FIELD_CAP else np.uint16)
-    torus = (q - 1,) * polytope.dim
-    cols = (q - 1) ** polytope.dim
+    # a log sum is at most n(q-2); ext[e] = g^(e mod (q-1)) up to there
+    ext = np.resize(exp, n * (q - 2) + 1)
+    assert ext.size <= 1 << 16, "log sums overflow uint16 under GENERATOR_CAP"
+    mon = np.array(monomials, dtype=np.int64) % r
     generator = np.empty((len(monomials), cols), dtype=exp.dtype)
-    # one block of columns at a time, so the int64 exponents stay small;
-    # unravel_index in C order gives the lexicographic torus order
-    for start in range(0, cols, _BLOCK_COLUMNS):
-        stop = min(start + _BLOCK_COLUMNS, cols)
-        powers = mon @ np.stack(np.unravel_index(np.arange(start, stop), torus))
-        np.remainder(powers, q - 1, out=powers)
-        generator[:, start:stop] = exp[powers]
+    step = max(1, _CHUNK_ENTRIES // cols)
+    for start in range(0, len(monomials), step):
+        # per-axis logs m_i j_i mod (q-1) for j in [0, q-2]: (rows, n, q-1)
+        chunk = (mon[start : start + step, :, None] * np.arange(r) % r).astype(np.uint16)
+        # outer sum over the axes, last axis fastest: the lexicographic torus order
+        total = chunk[:, 0]
+        for i in range(1, n):
+            total = (total[:, :, None] + chunk[:, i, None, :]).reshape(len(chunk), -1)
+        np.take(ext, total, out=generator[start : start + step])
     if allow_outside_cube and not polytope.fits_in_cube(q):
         k = gf_rank(field, generator)
     else:

@@ -31,12 +31,28 @@ T_current @ mat[:, c]. Hence the block column, when it is reached, is
 exactly the column the plain column-by-column loop holds at that point;
 the pivot row, the scale and the eliminated rows are the same, so T and the
 pivot list are identical, and reduced = T @ mat is the plain loop's matrix.
+Until the first pivot T is the identity (every row operation belongs to a
+pivot), so a block that enters at rank 0 is a copy of mat[:, block] and
+costs no product.
 The row operations of one pivot are applied to every row at once, to the
 columns of the block not yet reached and to T. Columns of a block that are
 zero at and below the current rank when the block enters stay zero there
 (every later pivot row lies at or below that rank and is zero in them), so
 they are skipped without a test. The loop stops once every row has a pivot;
 `gf_rank` needs only the pivot count and never forms T @ mat.
+
+The argument holds for any order in which the columns are visited: the loop
+is then the plain loop on mat with its columns permuted, and a column
+permutation does not change the rank. `gf_rank` visits them strided: with
+the stride s the smallest integer >= ceil(N / _BLOCK_COLUMNS) that is coprime
+to N, block b holds columns b, b + s, b + 2s, ..., at most _BLOCK_COLUMNS of
+them. A toric generator's pivots lie spread over its columns, so it usually
+reaches full rank in its first block. Coprime matters there: for N = (q-1)^n
+a stride sharing a factor with q - 1 meets only some values of the last
+torus coordinate (s = 50 at q = 16 meets 3 of 15, and [S1,S1,S1,P3]'s first
+block has rank 95 of 100). The pivot columns of `gf_rank` are therefore not
+`row_reduce`'s, and it returns only their count; `row_reduce` keeps the
+natural order, since its pivots are a contract.
 """
 
 from __future__ import annotations
@@ -324,15 +340,20 @@ _FIELD_CACHE: dict[tuple[int, int], FieldSpec] = {}
 
 
 def make_field(p: int, m: int = 1) -> FieldSpec:
-    """Build GF(p^m) over the smallest-encoding monic irreducible modulus."""
+    """Build GF(p^m) over the smallest-encoding monic irreducible modulus.
+
+    The bounds come before the primality test, and p^m is never formed
+    above the cap: m > 16 exceeds 2^16 for every p >= 2, so a rejected
+    descriptor costs neither a long trial division nor a huge integer.
+    """
     p = int(p)
     m = int(m)
-    if as_prime_power(p) != (p, 1):
-        raise ValueError(f"{p} is not prime")
     if m < 1:
         raise ValueError(f"extension degree must be positive, got {m}")
-    if p**m > FIELD_CAP:
+    if p > 1 and (m > 16 or p**m > FIELD_CAP):
         raise ValueError(f"q = {p}^{m} exceeds the supported cap {FIELD_CAP}")
+    if as_prime_power(p) != (p, 1):
+        raise ValueError(f"{p} is not prime")
     key = (p, m)
     if key not in _FIELD_CACHE:
         _FIELD_CACHE[key] = FieldSpec(p, m, _find_modulus(p, m))
@@ -448,20 +469,23 @@ class _Arith:
         return out
 
 
-def _eliminate(ar: _Arith, mat: np.ndarray):
-    """(transform, pivot_columns) of the Gauss-Jordan loop over the columns.
+def _eliminate(ar: _Arith, mat: np.ndarray, blocks):
+    """(transform, pivot_columns) of the Gauss-Jordan loop over the columns
+    of mat, visited as the given sequence of column slices.
 
     Lazy and column-blocked; the module docstring gives the argument that
-    the result is the plain loop's.
+    the result is the plain loop's on the columns in that order.
     """
     rows, cols = mat.shape
     t = ar.cast(np.eye(rows))
     r = 0
     pivots: list[int] = []
-    for start in range(0, cols, _BLOCK_COLUMNS):
+    for block in blocks:
         if r == rows:
             break
-        x = ar.matmul(t, ar.cast(mat[:, start : start + _BLOCK_COLUMNS]))
+        x = np.array(mat[:, block], dtype=ar.dtype)  # T = I until the first pivot
+        if r:
+            x = ar.matmul(t, x)
         for j in np.flatnonzero(x[r:].any(axis=0)):
             below = np.flatnonzero(x[r:, j])
             if not below.size:
@@ -481,7 +505,7 @@ def _eliminate(ar: _Arith, mat: np.ndarray):
             if hit.size:
                 x[hit, rest] = ar.sub(x[hit, rest], ar.outer(f[hit], x[r, rest]))
                 t[hit] = ar.sub(t[hit], ar.outer(f[hit], t[r]))
-            pivots.append(start + int(j))
+            pivots.append(range(cols)[block][j])
             r += 1
             if r == rows:
                 break
@@ -498,14 +522,23 @@ def row_reduce(spec: FieldSpec, mat: np.ndarray):
     """
     ar = _Arith(spec)
     mat = np.asarray(mat)
-    t, pivots = _eliminate(ar, mat)
+    cols = mat.shape[1]
+    blocks = [slice(s, s + _BLOCK_COLUMNS) for s in range(0, cols, _BLOCK_COLUMNS)]
+    t, pivots = _eliminate(ar, mat, blocks)
     reduced = ar.matmul(t, ar.cast(mat))
     return reduced.astype(np.int64), t.astype(np.int64), pivots
 
 
 def gf_rank(spec: FieldSpec, mat: np.ndarray) -> int:
-    """Rank over GF(q): the pivot count of row_reduce, without forming reduced."""
-    _, pivots = _eliminate(_Arith(spec), np.asarray(mat))
+    """Rank over GF(q): the pivot count of the elimination over strided
+    column blocks (module docstring), without forming reduced."""
+    mat = np.asarray(mat)
+    cols = mat.shape[1]
+    stride = -(-cols // _BLOCK_COLUMNS)
+    while math.gcd(stride, cols) > 1:
+        stride += 1
+    blocks = [slice(b, None, stride) for b in range(min(stride, cols))]
+    _, pivots = _eliminate(_Arith(spec), mat, blocks)
     return len(pivots)
 
 

@@ -148,6 +148,32 @@ def test_table_field_cap_is_an_error(capsys, recipe_path):
     assert err == "error: q = 65537^1 exceeds the supported cap 65536\n"
 
 
+def test_huge_field_exponent_is_one_error_line(capsys, triangle_path):
+    code, out, err = run_cli(
+        capsys, ["build", "--field", "2^10000000000", "--polytope", triangle_path]
+    )
+    assert code == 2 and out == ""
+    assert err == "error: q = 2^10000000000 exceeds the supported cap 65536\n"
+
+
+def test_emit_generator_over_the_size_cap_writes_nothing(capsys, tmp_path):
+    recipe = tmp_path / "s1p1s1.json"
+    recipe.write_text(json.dumps({"steps": [
+        {"segment": 1}, {"pyramid_scale": 1}, {"segment": 1},
+    ]}))
+    gen_path = tmp_path / "gen.txt"
+    code, out, err = run_cli(
+        capsys,
+        ["build", "--field", "257", "--recipe", str(recipe),
+         "--emit-generator", str(gen_path)],
+    )
+    assert code == 2 and out == ""
+    assert err == (
+        "error: generator of 6 x 16777216 entries exceeds the cap 16777216\n"
+    )
+    assert not gen_path.exists()
+
+
 @pytest.mark.parametrize("field", ["abc", "2^", "2^x"])
 def test_malformed_field_is_one_error_line(capsys, triangle_path, field):
     code, out, err = run_cli(capsys, ["build", "--field", field, "--polytope", triangle_path])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from toricode import codes as codes_module
+from toricode import gf as gf_module
 from toricode.codes import Codeword, build_code, evaluate, rank_check
 from toricode.gf import field_for_order, make_field, torus_exponents
 from toricode.polytopes import (
@@ -14,6 +15,8 @@ from toricode.polytopes import (
     from_vertices,
     product,
     pyramid,
+    realize_recipe,
+    recipe_from_dict,
     standard_simplex,
     unimodular_transform,
 )
@@ -88,25 +91,57 @@ def test_generator_entries_match_direct_evaluation():
             assert code.generator[r, c] == expected
 
 
-@pytest.mark.parametrize("block", [1, 7, None])
-@pytest.mark.parametrize("q", [2, 3, 4, 7, 8, 9, 16, 27, 257])
-def test_blocked_generator_matches_one_piece_evaluation(q, block, monkeypatch):
-    if block is not None:
-        monkeypatch.setattr(codes_module, "_BLOCK_COLUMNS", block)
+@pytest.mark.parametrize("rows", [1, 7, None])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 27, 257, 1 << 16])
+def test_blocked_generator_matches_one_piece_evaluation(q, rows, monkeypatch):
     field = field_for_order(q)
     polys = [from_vertices(1, [(-2,), (3,)])]  # negative exponents too
-    if q <= 27:  # keeps the one-column blocks of GF(257) to 256 columns
+    if q <= 27:
         polys += [
             from_vertices(2, [(-1, 1), (2, 0), (0, 2)]),
             from_vertices(3, EX4_VERTICES),
         ]
+    if q == 5:  # n = 4: three outer sums per chunk
+        polys.append(realize_recipe(recipe_from_dict({"steps": [
+            {"segment": 1}, {"segment": 1}, {"segment": 1}, {"pyramid_scale": 1},
+        ]})))
     dtype = np.uint8 if q <= 256 else np.uint16
     for poly in polys:
+        cols = (q - 1) ** poly.dim
+        if rows is not None:  # chunks of `rows` generator rows
+            monkeypatch.setattr(codes_module, "_CHUNK_ENTRIES", rows * cols)
         code = build_code(poly, field, allow_outside_cube=True)
         mon = np.array(poly.lattice_points, dtype=np.int64)
         want = field.exp.astype(dtype)[(mon @ torus_exponents(field, poly.dim).T) % (q - 1)]
         assert code.generator.dtype == dtype
         assert np.array_equal(code.generator, want)
+
+
+def test_generator_cap_is_checked_before_building(monkeypatch):
+    # [S1,P1,S1] over GF(257): 6 x 256^3 = 100.7 M entries
+    poly = realize_recipe(recipe_from_dict({"steps": [
+        {"segment": 1}, {"pyramid_scale": 1}, {"segment": 1},
+    ]}))
+    field = make_field(257)
+    monkeypatch.setattr(field, "exp", None)  # the build reads it after the check
+    with pytest.raises(ValueError, match=r"^generator of 6 x 16777216 entries exceeds the cap 16777216$"):
+        build_code(poly, field)
+
+
+def test_torus_over_the_cap_is_refused_before_lattice_points():
+    # 65,535^2 columns; the triangle has 2.1e9 lattice points, never enumerated
+    big = from_vertices(2, [(0, 0), (65534, 0), (0, 65534)])
+    with pytest.raises(ValueError, match=r"^generator of k x 4294836225 entries exceeds the cap"):
+        build_code(big, make_field(2, 16))
+    assert "lattice_points" not in vars(big)
+
+
+def test_generator_at_the_cap_is_built(monkeypatch):
+    monkeypatch.setattr(codes_module, "GENERATOR_CAP", 6 * 16)
+    assert triangle_code().generator.shape == (6, 16)
+    monkeypatch.setattr(codes_module, "GENERATOR_CAP", 6 * 16 - 1)
+    with pytest.raises(ValueError, match="exceeds the cap 95"):
+        triangle_code()
 
 
 # ---------------------------------------------------------------------------
@@ -248,3 +283,22 @@ def test_rank_equals_lattice_point_count(poly_factory, q, m, p):
 def test_rank_of_prism_is_twelve():
     prism = product(from_vertices(2, TRIANGLE), box([1]))
     assert rank_check(build_code(prism, make_field(5))) == 12
+
+
+def test_rank_check_of_full_rank_generator_needs_no_product(monkeypatch):
+    # [S1,S1,S1,P3] over GF(16): k = 100, N = 50,625; the natural-order
+    # pivots reach column 10,845, the strided first block holds all of them
+    poly = realize_recipe(recipe_from_dict({"steps": [
+        {"segment": 1}, {"segment": 1}, {"segment": 1}, {"pyramid_scale": 3},
+    ]}))
+    code = build_code(poly, make_field(2, 4))
+    calls = []
+    matmul = gf_module._Arith.matmul
+
+    def counted(self, a, b):
+        calls.append(a.shape)
+        return matmul(self, a, b)
+
+    monkeypatch.setattr(gf_module._Arith, "matmul", counted)
+    assert rank_check(code) == code.k == 100
+    assert calls == []

@@ -2,11 +2,13 @@
 
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
 
 from toricode import gf as gf_module
+from toricode.codes import build_code
 from toricode.gf import (
     as_prime_power,
     field_for_order,
@@ -18,6 +20,7 @@ from toricode.gf import (
     row_reduce,
     torus_exponents,
 )
+from toricode.polytopes import from_vertices
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +92,22 @@ def test_bad_exponent_and_cap():
         make_field(5, 0)
     with pytest.raises(ValueError, match="cap"):
         make_field(2, 17)
+
+
+@pytest.mark.parametrize("make, text", [
+    (lambda: make_field(10**16 + 61), "10000000000000061^1"),
+    (lambda: make_field(65537), "65537^1"),
+    (lambda: parse_field("2^10000000000"), "2^10000000000"),
+    (lambda: parse_field("3^17"), "3^17"),
+])
+def test_cap_is_checked_before_primality(make, text, monkeypatch):
+    def bounded(q):
+        assert q <= gf_module.FIELD_CAP, "primality tested above the cap"
+        return as_prime_power(q)
+
+    monkeypatch.setattr(gf_module, "as_prime_power", bounded)
+    with pytest.raises(ValueError, match=rf"^q = {re.escape(text)} exceeds the supported cap 65536$"):
+        make()
 
 
 def test_parse_field():
@@ -369,6 +388,28 @@ def reference_prime_power(q):
                 m += 1
             return (p, m) if q == 1 else None
     return None
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_strided_rank_matches_reference_on_toric_generators(block, monkeypatch):
+    monkeypatch.setattr(gf_module, "_BLOCK_COLUMNS", block)
+    ex4 = from_vertices(3, [(0, 3, 0), (1, 0, 0), (3, 1, 0), (1, 1, 2), (2, 3, 3)])
+    cases = [
+        # full rank, natural-order pivots spread over many blocks
+        (make_field(5), ex4, False),
+        (make_field(2, 3), from_vertices(2, [(1, 0), (0, 3), (3, 1)]), False),
+        # rank-deficient: x^{q-1} agrees with 1 on the torus
+        (make_field(3), from_vertices(2, [(0, 0), (2, 0), (0, 2)]), True),
+        (make_field(2, 2), from_vertices(1, [(-1,), (4,)]), True),
+    ]
+    for field, poly, outside in cases:
+        code = build_code(poly, field, allow_outside_cube=outside)
+        _, _, want = reference_row_reduce(field, code.generator)
+        if not outside:
+            assert len(set(p // block for p in want)) > 1
+        assert gf_rank(field, code.generator) == len(want) == code.k
+        if outside:
+            assert len(want) < len(code.monomials)
 
 
 def test_as_prime_power_matches_trial_division_to_q():
