@@ -339,19 +339,27 @@ class FieldSpec:
 _FIELD_CACHE: dict[tuple[int, int], FieldSpec] = {}
 
 
+def check_field_cap(p: int, m: int) -> None:
+    """Raise ValueError when q = p^m exceeds FIELD_CAP.
+
+    p^m is never formed above the cap: m > 16 exceeds 2^16 for every
+    p >= 2, so a huge exponent costs no huge integer.
+    """
+    if p > 1 and (m > 16 or p**m > FIELD_CAP):
+        raise ValueError(f"q = {p}^{m} exceeds the supported cap {FIELD_CAP}")
+
+
 def make_field(p: int, m: int = 1) -> FieldSpec:
     """Build GF(p^m) over the smallest-encoding monic irreducible modulus.
 
-    The bounds come before the primality test, and p^m is never formed
-    above the cap: m > 16 exceeds 2^16 for every p >= 2, so a rejected
-    descriptor costs neither a long trial division nor a huge integer.
+    The bounds come before the primality test, so a rejected descriptor
+    costs neither a long trial division nor a huge integer.
     """
     p = int(p)
     m = int(m)
     if m < 1:
         raise ValueError(f"extension degree must be positive, got {m}")
-    if p > 1 and (m > 16 or p**m > FIELD_CAP):
-        raise ValueError(f"q = {p}^{m} exceeds the supported cap {FIELD_CAP}")
+    check_field_cap(p, m)
     if as_prime_power(p) != (p, 1):
         raise ValueError(f"{p} is not prime")
     key = (p, m)

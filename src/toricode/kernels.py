@@ -1,4 +1,4 @@
-"""Codeword-enumeration kernels: one comparison-based numpy kernel per search.
+"""Codeword-enumeration kernels: one numpy kernel per search.
 
 The comparison identity
 -----------------------
@@ -37,25 +37,52 @@ Prefix batching (ISD)
 ---------------------
 A support splits into a prefix and a suffix of s rows: s = 2 (a row pair)
 from level 3 on when the table of every pair's (q-1)^2 value patterns is
-small, else s = 1. The supports of one call are every w-subset of
-range(k) in `combinations` order, so those sharing a prefix are contiguous.
-Their heads (value 1 on r_0, every pattern on the rest of the prefix) are
-built once and compared against the suffix patterns of every support in
-the group at once. Pattern index = head index * (q-1)^s + suffix pattern,
-so a per-support argmin over heads (outer) and suffix patterns (inner)
-recovers the first minimum.
+small, else s = 1. A prefix's heads are value 1 on r_0 and every pattern on
+the rest of the prefix. Pattern index = head index * (q-1)^s + suffix
+pattern, so a per-support argmin over heads (outer) and suffix patterns
+(inner) recovers the first minimum.
 
-A group whose prefix ends at row a holds exactly the s-subsets of rows
-a+1..k-1, each once and in `combinations` order. In the table of every
-s-subset of range(k) in that order (rows for s = 1, `np.triu_indices`
-pairs for s = 2) those are the last C(k-1-a, s) entries, since every
-earlier entry contains a row at most a. So the group's suffix block is the
-last m columns of that table, a view; no per-group gather is made.
+The supports of one call are every w-subset of range(k) in `combinations`
+order, so those sharing a prefix are contiguous, and a prefix ending at
+row a is completed by exactly the s-subsets of rows a+1..k-1, each once
+and in `combinations` order. In the table of every s-subset of range(k) in
+that order (rows for s = 1, `np.triu_indices` pairs for s = 2) those are
+the last C(k-1-a, s) entries, since every earlier entry contains a row at
+most a. So every prefix that ends at row a has the same suffix block: the
+last m = C(k-1-a, s) columns of that table, a view.
+
+The kernel therefore scans one batch per last row a: the heads of all the
+prefixes ending at a against that one block. A batch is cut into tiles of
+whole prefixes, or of equal parts of one prefix when a prefix alone
+exceeds `_TILE_BYTES` (its heads plus a float32 count per head and block
+row). Each (prefix, support) keeps its minimum across the tiles, and only a
+strictly lower weight replaces it, so the tiling never changes the first
+minimum.
+
+Counting equal symbols with BLAS
+--------------------------------
+weight(h + b) = N - eq with eq = #{t : b_t = -h_t}, and
+
+    eq = sum over (value v, symbol t) of [-h_t = v] * [b_t = v],
+
+the product of two one-hot matrices indexed by (value, symbol). A tile of
+at least `_BLAS_MIN_HEADS` heads computes it as float32 matmuls, one per
+chunk of symbols that keeps each one-hot operand within `_ONEHOT_BYTES`.
+Smaller tiles compare and sum, and so does the exhaustive scan, which
+passes one head per call; it stays a plain cross-check that does not
+depend on BLAS.
+
+The count is exact. Every product is 0 or 1, so every partial sum, in any
+order, is an integer between 0 and N. `codes.GENERATOR_CAP` bounds k * N by
+2^24, so N <= 2^24, and float32 holds every integer up to 2^24 exactly. No
+partial sum is ever rounded, so neither BLAS's blocking nor the threads of
+numpy's BLAS can change a weight.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from math import comb
 
 import numpy as np
 
@@ -64,6 +91,13 @@ from .gf import table_lookup
 # symbols compared per vectorised step; also caps the exhaustive blocks and
 # the ISD pair table
 _STEP_SYMBOLS = 1 << 20
+# bytes of an ISD tile's heads and float32 counts
+_TILE_BYTES = 1 << 18
+# tiles with at least this many heads count equal symbols with float32
+# matmuls; smaller ones compare and sum
+_BLAS_MIN_HEADS = 64
+# bytes of each one-hot operand of that matmul
+_ONEHOT_BYTES = 1 << 18
 
 
 def scaled_rows(spec, generator: np.ndarray) -> np.ndarray:
@@ -72,15 +106,35 @@ def scaled_rows(spec, generator: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(table.transpose(1, 0, 2))
 
 
-def _weights(block, neg_heads, acc):
+def _weights(block, neg_heads, acc, q):
     """weights[i, j] = #{t : block[t, j] != neg_heads[t, i]}.
 
-    Both operands are symbol-major, (N, rows): the sum over symbols then adds
-    whole contiguous planes, which numpy vectorises, instead of reducing
-    short rows one by one. `acc` is the narrowest unsigned dtype holding N,
-    the largest possible weight, so the narrow sum is exact.
+    Both operands are symbol-major, (N, rows). A tile of fewer than
+    `_BLAS_MIN_HEADS` heads compares and sums, in steps of at most
+    `_STEP_SYMBOLS` comparisons: the sum over symbols adds whole contiguous
+    planes, which numpy vectorises, and `acc`, the narrowest unsigned dtype
+    holding N, keeps the narrow sum exact. A larger tile counts the equal
+    symbols with float32 matmuls of one-hot operands (see Counting equal
+    symbols with BLAS).
     """
-    return (block[:, None, :] != neg_heads[:, :, None]).sum(axis=0, dtype=acc)
+    n_cols, n_rows = block.shape
+    n_heads = neg_heads.shape[1]
+    if n_heads < _BLAS_MIN_HEADS:
+        step = max(1, _STEP_SYMBOLS // block.size)
+        if n_heads > step:  # each step is again a small tile
+            heads = [neg_heads[:, h0 : h0 + step] for h0 in range(0, n_heads, step)]
+            return np.concatenate([_weights(block, part, acc, q) for part in heads])
+        return (block[:, None, :] != neg_heads[:, :, None]).sum(axis=0, dtype=acc)
+    values = np.arange(q, dtype=np.uint8)[:, None, None]
+    chunk = max(1, _ONEHOT_BYTES // (4 * q * max(n_heads, n_rows)))  # symbols
+    # block rows outer: measured to touch less of BLAS's packing buffers
+    eq = np.zeros((n_rows, n_heads), dtype=np.float32)
+    for t0 in range(0, n_cols, chunk):
+        # one-hot, index (value, symbol): 1.0 where the symbol has the value
+        a = (neg_heads[None, t0 : t0 + chunk] == values).astype(np.float32)
+        b = (block[None, t0 : t0 + chunk] == values).astype(np.float32)
+        eq += b.reshape(-1, n_rows).T @ a.reshape(-1, n_heads)
+    return (n_cols - eq).astype(acc).T
 
 
 def exhaustive_scan(scaled, add_t, sub_t, q, max_messages):
@@ -117,7 +171,7 @@ def exhaustive_scan(scaled, add_t, sub_t, q, max_messages):
             for row, val in zip(head_rows, combo):
                 if val:
                     head = table_lookup(add_t, head, scaled[row, val])
-            weights = _weights(block[:, : count - off], neg[head][:, None], acc)[0]
+            weights = _weights(block[:, : count - off], neg[head][:, None], acc, q)[0]
             j = int(weights.argmin())
             if int(weights[j]) < best_w:
                 best_w, best_idx = int(weights[j]), base + off + j
@@ -156,32 +210,55 @@ def isd_level_scan(scaled, add_t, sub_t, supports):
         s = 1
         suffixes = rows
     n_pat = (q - 1) ** s
+    n_head = (q - 1) ** (w - s - 1)  # heads per prefix
+    # supports grouped by the last row of their prefix, each group in
+    # combinations order: prefix by prefix, m supports each (see Prefix batching)
+    prefixes = supports[:, :-s]
+    last = prefixes[:, -1]
+    order = np.argsort(last, kind="stable")
+    grouped = prefixes[order]
+    found_w, found_j = [], []
+    lo = 0
+    for a, count in enumerate(np.bincount(last, minlength=k).tolist()):
+        if not count:
+            continue
+        m = comb(k - 1 - a, s)
+        batch = grouped[lo : lo + count : m]  # the prefixes ending at row a
+        lo += count
+        block = suffixes[:, -m:].reshape(n_cols, m * n_pat)
+        # a tile of heads: whole prefixes, or equal parts of one prefix
+        step = max(1, _TILE_BYTES // (n_cols + 4 * block.shape[1]))
+        n_grp = max(1, step // n_head)
+        parts = -(-n_head // step)
+        step = -(-n_head // parts)
+        for g0 in range(0, len(batch), n_grp):
+            # negated heads (N, prefixes, heads), 1 on the first row and every
+            # pattern after; negation is additive, so add the negated rows
+            pre = batch[g0 : g0 + n_grp]
+            n_pre = len(pre)
+            heads = neg_rows[:, pre[:, 0], :1]
+            for i in range(1, pre.shape[1]):
+                heads = table_lookup(add_t, heads[:, :, :, None], neg_rows[:, pre[:, i], None, :])
+                heads = heads.reshape(n_cols, n_pre, -1)
+            for h0 in range(0, n_head, step):
+                tile = heads[:, :, h0 : h0 + step]
+                weights = _weights(block, tile.reshape(n_cols, -1), acc, q)
+                # (prefixes, heads, supports, suffix patterns) -> per prefix
+                # and support, heads outer and suffix patterns inner
+                weights = weights.reshape(n_pre, -1, m, n_pat).transpose(0, 2, 1, 3)
+                weights = weights.reshape(n_pre, m, -1)
+                wmin = weights.min(axis=2)
+                j = h0 * n_pat + weights.argmin(axis=2)
+                if h0:  # a later part of the same prefixes
+                    better = wmin < best_w
+                    best_w = np.where(better, wmin, best_w)
+                    best_j = np.where(better, j, best_j)
+                else:
+                    best_w, best_j = wmin, j
+            found_w.append(best_w.ravel())
+            found_j.append(best_j.ravel())
     out_w = np.empty(n_sup, dtype=np.int64)
     out_idx = np.empty(n_sup, dtype=np.int64)
-    prefixes = supports[:, :-s]
-    new_prefix = np.any(prefixes[1:] != prefixes[:-1], axis=1)
-    starts = np.flatnonzero(np.concatenate(([True], new_prefix)))
-    for lo, hi in zip(starts, np.append(starts[1:], n_sup)):
-        prefix = prefixes[lo]
-        neg_heads = neg_rows[:, prefix[0], :1]  # (N, heads)
-        for row in prefix[1:]:
-            neg_heads = table_lookup(add_t, neg_heads[:, :, None], neg_rows[:, row, None, :])
-            neg_heads = neg_heads.reshape(n_cols, -1)
-        # the group's suffixes are the last m s-subsets (see Prefix batching)
-        m = hi - lo
-        block = suffixes[:, -m:].reshape(n_cols, m * n_pat)
-        best_w = np.full(m, n_cols + 1, dtype=np.int64)
-        best_j = np.zeros(m, dtype=np.int64)
-        step = max(1, _STEP_SYMBOLS // block.size)
-        for h0 in range(0, neg_heads.shape[1], step):
-            weights = _weights(block, neg_heads[:, h0 : h0 + step], acc)
-            # (heads, supports, suffix patterns) -> per support, pattern order
-            weights = weights.reshape(-1, m, n_pat).transpose(1, 0, 2).reshape(m, -1)
-            j = weights.argmin(axis=1)
-            wmin = weights[np.arange(m), j]
-            better = wmin < best_w
-            best_w[better] = wmin[better]
-            best_j[better] = h0 * n_pat + j[better]
-        out_w[lo:hi] = w + best_w
-        out_idx[lo:hi] = best_j
+    out_w[order] = w + np.concatenate(found_w)
+    out_idx[order] = np.concatenate(found_j)
     return out_w, out_idx

@@ -13,18 +13,22 @@ import pytest
 
 from toricode import kernels
 from toricode.codes import build_code, evaluate
-from toricode.gf import make_field
+from toricode.gf import field_for_order, make_field
 from toricode.mindist import (
     min_distance,
     min_distance_exhaustive,
     min_distance_isd,
 )
 from toricode.polytopes import (
+    ConstructionRecipe,
+    PyramidScale,
+    Segment,
     box,
     dilate,
     from_vertices,
     product,
     pyramid,
+    realize_recipe,
     standard_simplex,
 )
 
@@ -242,6 +246,53 @@ def test_isd_exact_on_2_simplex3_gf7():
     assert (r.d, r.exact, r.lower, r.upper) == (144, True, 144, 144)
 
 
+# (polytope, q, budget, (d, lower, upper, exact, work_count, witness)): the
+# results of the per-prefix ISD kernel, recorded before its level scan was
+# batched by last row; every kernel must reproduce each field
+S1P1P2 = realize_recipe(ConstructionRecipe((Segment(1), PyramidScale(1), PyramidScale(2))))
+S1S1S1 = realize_recipe(ConstructionRecipe((Segment(1), Segment(1), Segment(1))))
+S1P2 = realize_recipe(ConstructionRecipe((Segment(1), PyramidScale(2))))
+PINNED_ISD = [
+    pytest.param(
+        from_vertices(3, EX4_VERTICES), 5, 2**27,
+        (31, 30, 31, False, 380_133, [0, 0, 1, 1, 3, 3, 2, 3, 2, 4, 1, 0, 0]),
+        id="example4-gf5-capped",
+    ),
+    pytest.param(
+        from_vertices(3, EX4_VERTICES), 5, 2**34,
+        (31, 31, 31, True, 2_137_317, [0, 0, 1, 1, 3, 3, 2, 3, 2, 4, 1, 0, 0]),
+        id="example4-gf5",
+    ),
+    pytest.param(
+        S1P1P2, 7, 2**27,
+        (144, 130, 144, False, 376_552, [4, 4, 6, 0, 0, 0, 0, 0, 0, 0]),
+        id="s1p1p2-gf7-capped",
+    ),
+    pytest.param(
+        S1S1S1, 7, 2**27,
+        (125, 125, 125, True, 17_312, [6, 5, 5, 3, 5, 3, 3, 6]),
+        id="s1s1s1-gf7",
+    ),
+    pytest.param(
+        S1P2, 9, 2**27,
+        (48, 48, 48, True, 9_086, [8, 5, 2, 0, 0, 0]),
+        id="s1p2-gf9",
+    ),
+    pytest.param(
+        from_vertices(2, TRIANGLE), 8, 2**27,
+        (28, 28, 28, True, 1_091, [1, 1, 0, 0, 0, 1]),
+        id="example1-gf8",
+    ),
+]
+
+
+@pytest.mark.parametrize("poly,q,budget,want", PINNED_ISD)
+def test_isd_results_are_pinned(poly, q, budget, want):
+    r = min_distance(build_code(poly, field_for_order(q)), budget=budget)
+    got = (r.d, r.lower, r.upper, r.exact, r.work_count, r.witness.tolist())
+    assert got == want
+
+
 def test_auto_method_dispatch():
     # auto is the ISD on every code; its levels never scan more messages
     # than exhaustive, which stays the cross-check
@@ -279,11 +330,13 @@ KERNEL_CASES = [
 ]
 
 
-def random_scaled(field, k, seed):
+def random_scaled(field, k, seed, n_cols=None):
     """Scaled rows of a random generator drawn from three values, so weights tie."""
     rng = np.random.default_rng(seed)
     values = rng.choice(field.q, size=min(field.q, 3), replace=False)
-    generator = rng.choice(values, size=(k, int(rng.integers(5, 30))))
+    if n_cols is None:
+        n_cols = int(rng.integers(5, 30))
+    generator = rng.choice(values, size=(k, n_cols))
     return kernels.scaled_rows(field, generator.astype(np.int64))
 
 
@@ -315,27 +368,62 @@ def test_exhaustive_scan_matches_reference(p, m, k, monkeypatch):
             assert got == reference_min(scaled, add_t, messages[:max_messages])
 
 
-@pytest.mark.parametrize("p,m,k", KERNEL_CASES)
-def test_isd_level_scan_matches_reference(p, m, k, monkeypatch):
+# (p, m, k, columns, tile bytes): every KERNEL_CASES entry at a random width,
+# plus two more: N' > 255, where the accumulator is uint16, and tiles of two
+# heads, which split each 16-head prefix of level 5 across tiles
+ISD_CASES = [pytest.param(p, m, k, None, None, id=f"{p}-{m}-{k}") for p, m, k in KERNEL_CASES] + [
+    pytest.param(3, 1, 4, 300, None, id="3-1-4-uint16"),
+    pytest.param(5, 1, 5, 20, 200, id="5-1-5-split-tiles"),
+]
+
+# kernel constants that force each way of counting equal symbols: compare and
+# sum, one BLAS matmul per tile, and BLAS with one symbol per one-hot chunk
+WEIGHT_PATHS = [
+    {"_BLAS_MIN_HEADS": 1 << 62},
+    {"_BLAS_MIN_HEADS": 1},
+    {"_BLAS_MIN_HEADS": 1, "_ONEHOT_BYTES": 1},
+]
+
+
+@pytest.mark.parametrize("p,m,k,n_cols,tile", ISD_CASES)
+def test_isd_level_scan_matches_reference(p, m, k, n_cols, tile, monkeypatch):
     field = make_field(p, m)
     q = field.q
     add_t, sub_t = field.kernel_tables()
-    scaled = random_scaled(field, k, seed=q + 1)
+    scaled = random_scaled(field, k, seed=q + 1, n_cols=n_cols)
     levels = []
     for level in range(1, k + 1):
         supports = list(itertools.combinations(range(k), level))
         ref = [reference_min(scaled, add_t, support_patterns(s, k, q)) for s in supports]
         levels.append((supports, ref))
+    tile_heads = []
+    weights = kernels._weights
+
+    def spy(block, neg_heads, acc, q):
+        tile_heads.append((kernels._TILE_BYTES, neg_heads.shape[1]))
+        return weights(block, neg_heads, acc, q)
+
+    monkeypatch.setattr(kernels, "_weights", spy)
     # the default step uses row-pair suffixes from level 3 on; a step of 1
-    # forces last-row suffixes and one head per step, so the argmin carries
-    # across steps
-    for step in (kernels._STEP_SYMBOLS, 1):
-        monkeypatch.setattr(kernels, "_STEP_SYMBOLS", step)
-        for supports, ref in levels:
-            out_w, out_idx = kernels.isd_level_scan(scaled, add_t, sub_t, np.array(supports))
-            # the support rows are the pivot columns each message hits
-            want = [(w + len(s), j) for s, (w, j) in zip(supports, ref)]
-            assert list(zip(out_w.tolist(), out_idx.tolist())) == want
+    # forces last-row suffixes and one head per comparison step; a tile of
+    # one byte holds one head, so the argmin carries across tiles
+    steps = (kernels._STEP_SYMBOLS, 1)
+    tiles = (kernels._TILE_BYTES, 1) + ((tile,) if tile else ())
+    for step, tile_bytes, path in itertools.product(steps, tiles, WEIGHT_PATHS):
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "_STEP_SYMBOLS", step)
+            patch.setattr(kernels, "_TILE_BYTES", tile_bytes)
+            for name, value in path.items():
+                patch.setattr(kernels, name, value)
+            for supports, ref in levels:
+                out_w, out_idx = kernels.isd_level_scan(scaled, add_t, sub_t, np.array(supports))
+                # the support rows are the pivot columns each message hits
+                want = [(w + len(s), j) for s, (w, j) in zip(supports, ref)]
+                got = list(zip(out_w.tolist(), out_idx.tolist()))
+                assert got == want, (step, tile_bytes, path)
+    if tile:
+        # the case's own tile size did cut a prefix into tiles of two heads
+        assert (tile, 2) in tile_heads
 
 
 # ---------------------------------------------------------------------------
