@@ -9,8 +9,9 @@ Subcommands:
 
 All numeric output is deterministic for fixed inputs. `--threads` (or
 TORICODE_THREADS) is validated, at least 1, and not passed to the search.
-Large tiles of the information-set scan use numpy's BLAS thread pool,
-which `--threads` does not set; their counts are exact either way.
+Large tiles of the information-set scan over GF(q), q <= 5, use numpy's
+BLAS thread pool, which `--threads` does not set; their counts are exact
+either way.
 """
 
 from __future__ import annotations

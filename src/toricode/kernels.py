@@ -54,10 +54,10 @@ last m = C(k-1-a, s) columns of that table, a view.
 The kernel therefore scans one batch per last row a: the heads of all the
 prefixes ending at a against that one block. A batch is cut into tiles of
 whole prefixes, or of equal parts of one prefix when a prefix alone
-exceeds `_TILE_BYTES` (its heads plus a float32 count per head and block
-row). Each (prefix, support) keeps its minimum across the tiles, and only a
-strictly lower weight replaces it, so the tiling never changes the first
-minimum.
+exceeds the step budget `_STEP_BYTES`, sized by what the tile's way of
+counting holds per head (below). Each (prefix, support) keeps its minimum
+across the tiles, and only a strictly lower weight replaces it, so the
+tiling never changes the first minimum.
 
 Counting equal symbols with BLAS
 --------------------------------
@@ -65,12 +65,19 @@ weight(h + b) = N - eq with eq = #{t : b_t = -h_t}, and
 
     eq = sum over (value v, symbol t) of [-h_t = v] * [b_t = v],
 
-the product of two one-hot matrices indexed by (value, symbol). A tile of
-at least `_BLAS_MIN_HEADS` heads computes it as float32 matmuls, one per
-chunk of symbols that keeps each one-hot operand within `_ONEHOT_BYTES`.
-Smaller tiles compare and sum, and so does the exhaustive scan, which
-passes one head per call; it stays a plain cross-check that does not
-depend on BLAS.
+the product of two one-hot matrices indexed by (value, symbol). It costs
+2q flops per comparison, so it pays only on small fields: a batch over
+GF(q), q <= `_BLAS_MAX_Q`, with at least `_BLAS_MIN_HEADS` heads counts
+with float32 matmuls. Its tiles keep the float32 counts and their copies,
+about 16 bytes per head and block row, within half the step budget, and
+each matmul takes a chunk of symbols whose one-hot operands fit in the
+other half. Every other batch compares and sums, a tile's uint8
+comparisons within the step budget; so does the exhaustive scan, which
+passes one head per call and stays a plain cross-check that does not
+depend on BLAS. Whole ISD searches over GF(5) ran faster with the
+matmuls. Over GF(7) they won on some codes and lost on others, and from
+GF(8) on they lose to compare-and-sum on most tile shapes measured, from
+GF(16) on on every one.
 
 The count is exact. Every product is 0 or 1, so every partial sum, in any
 order, is an integer between 0 and N. `codes.GENERATOR_CAP` bounds k * N by
@@ -88,16 +95,15 @@ import numpy as np
 
 from .gf import table_lookup
 
-# symbols compared per vectorised step; also caps the exhaustive blocks and
-# the ISD pair table
-_STEP_SYMBOLS = 1 << 20
-# bytes of an ISD tile's heads and float32 counts
-_TILE_BYTES = 1 << 18
-# tiles with at least this many heads count equal symbols with float32
-# matmuls; smaller ones compare and sum
+# bytes of the temporaries of one vectorised step: the uint8 comparisons of
+# an exhaustive block or an ISD tile, an ISD tile's float32 counts and
+# one-hot operands; also caps the ISD pair table
+_STEP_BYTES = 1 << 20
+# an ISD batch counts equal symbols with float32 matmuls when q is at most
+# _BLAS_MAX_Q and it holds at least _BLAS_MIN_HEADS heads; otherwise it
+# compares and sums (see Counting equal symbols with BLAS)
+_BLAS_MAX_Q = 5
 _BLAS_MIN_HEADS = 64
-# bytes of each one-hot operand of that matmul
-_ONEHOT_BYTES = 1 << 18
 
 
 def scaled_rows(spec, generator: np.ndarray) -> np.ndarray:
@@ -106,27 +112,32 @@ def scaled_rows(spec, generator: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(table.transpose(1, 0, 2))
 
 
-def _weights(block, neg_heads, acc, q):
+def _weights(block, neg_heads, acc):
     """weights[i, j] = #{t : block[t, j] != neg_heads[t, i]}.
 
-    Both operands are symbol-major, (N, rows). A tile of fewer than
-    `_BLAS_MIN_HEADS` heads compares and sums, in steps of at most
-    `_STEP_SYMBOLS` comparisons: the sum over symbols adds whole contiguous
-    planes, which numpy vectorises, and `acc`, the narrowest unsigned dtype
-    holding N, keeps the narrow sum exact. A larger tile counts the equal
-    symbols with float32 matmuls of one-hot operands (see Counting equal
-    symbols with BLAS).
+    Both operands are symbol-major, (N, rows): the sum over symbols then adds
+    whole contiguous planes, which numpy vectorises, instead of reducing
+    short rows one by one. The longer of the two row axes is the innermost
+    one, so every comparison runs along a long contiguous line. `acc` is the
+    narrowest unsigned dtype holding N, the largest possible weight, so the
+    narrow sum is exact.
+    """
+    if neg_heads.shape[1] <= block.shape[1]:
+        return (block[:, None, :] != neg_heads[:, :, None]).sum(axis=0, dtype=acc)
+    return (block[:, :, None] != neg_heads[:, None, :]).sum(axis=0, dtype=acc).T
+
+
+def _blas_weights(block, neg_heads, acc, q):
+    """`_weights` as N - eq, eq from float32 matmuls of one-hot operands.
+
+    One matmul per chunk of symbols that keeps the two one-hot operands,
+    bool and float32, within half of `_STEP_BYTES` (see Counting
+    equal symbols with BLAS).
     """
     n_cols, n_rows = block.shape
     n_heads = neg_heads.shape[1]
-    if n_heads < _BLAS_MIN_HEADS:
-        step = max(1, _STEP_SYMBOLS // block.size)
-        if n_heads > step:  # each step is again a small tile
-            heads = [neg_heads[:, h0 : h0 + step] for h0 in range(0, n_heads, step)]
-            return np.concatenate([_weights(block, part, acc, q) for part in heads])
-        return (block[:, None, :] != neg_heads[:, :, None]).sum(axis=0, dtype=acc)
     values = np.arange(q, dtype=np.uint8)[:, None, None]
-    chunk = max(1, _ONEHOT_BYTES // (4 * q * max(n_heads, n_rows)))  # symbols
+    chunk = max(1, _STEP_BYTES // (10 * q * (n_heads + n_rows)))  # symbols
     # block rows outer: measured to touch less of BLAS's packing buffers
     eq = np.zeros((n_rows, n_heads), dtype=np.float32)
     for t0 in range(0, n_cols, chunk):
@@ -149,7 +160,7 @@ def exhaustive_scan(scaled, add_t, sub_t, q, max_messages):
     # blocks[t]: (N, q^t), every digit combination of the last t rows, first
     # row most significant; built once and shared by every lead
     blocks = [np.zeros((n_cols, 1), dtype=np.uint8)]
-    while len(blocks) < k and (len(blocks) == 1 or q * blocks[-1].size <= _STEP_SYMBOLS):
+    while len(blocks) < k and (len(blocks) == 1 or q * blocks[-1].size <= _STEP_BYTES):
         row = scaled[k - len(blocks)].T
         block = table_lookup(add_t, row[:, :, None], blocks[-1][:, None, :])
         blocks.append(block.reshape(n_cols, -1))
@@ -171,7 +182,7 @@ def exhaustive_scan(scaled, add_t, sub_t, q, max_messages):
             for row, val in zip(head_rows, combo):
                 if val:
                     head = table_lookup(add_t, head, scaled[row, val])
-            weights = _weights(block[:, : count - off], neg[head][:, None], acc, q)[0]
+            weights = _weights(block[:, : count - off], neg[head][:, None], acc)[0]
             j = int(weights.argmin())
             if int(weights[j]) < best_w:
                 best_w, best_idx = int(weights[j]), base + off + j
@@ -202,7 +213,7 @@ def isd_level_scan(scaled, add_t, sub_t, supports):
     # suffixes[:, i] holds the value patterns of the i-th s-subset of
     # range(k) in combinations order, in pattern order
     r1, r2 = np.triu_indices(k, 1)  # row pairs in combinations order
-    if w >= 3 and len(r1) * (q - 1) ** 2 * n_cols <= _STEP_SYMBOLS:
+    if w >= 3 and len(r1) * (q - 1) ** 2 * n_cols <= _STEP_BYTES:
         s = 2
         suffixes = table_lookup(add_t, rows[:, r1, :, None], rows[:, r2, None, :])
         suffixes = suffixes.reshape(n_cols, len(r1), -1)
@@ -226,8 +237,13 @@ def isd_level_scan(scaled, add_t, sub_t, supports):
         batch = grouped[lo : lo + count : m]  # the prefixes ending at row a
         lo += count
         block = suffixes[:, -m:].reshape(n_cols, m * n_pat)
-        # a tile of heads: whole prefixes, or equal parts of one prefix
-        step = max(1, _TILE_BYTES // (n_cols + 4 * block.shape[1]))
+        n_rows = block.shape[1]
+        # one way of counting per batch, and tiles of whole prefixes, or of
+        # equal parts of one prefix, whose temporaries fit in _STEP_BYTES
+        # bytes: the comparisons, or the float32 counts and their copies
+        # (16 bytes per head and block row) with half the budget
+        blas = q <= _BLAS_MAX_Q and len(batch) * n_head >= _BLAS_MIN_HEADS
+        step = max(1, _STEP_BYTES // (32 * n_rows if blas else block.size))
         n_grp = max(1, step // n_head)
         parts = -(-n_head // step)
         step = -(-n_head // parts)
@@ -241,8 +257,11 @@ def isd_level_scan(scaled, add_t, sub_t, supports):
                 heads = table_lookup(add_t, heads[:, :, :, None], neg_rows[:, pre[:, i], None, :])
                 heads = heads.reshape(n_cols, n_pre, -1)
             for h0 in range(0, n_head, step):
-                tile = heads[:, :, h0 : h0 + step]
-                weights = _weights(block, tile.reshape(n_cols, -1), acc, q)
+                tile = heads[:, :, h0 : h0 + step].reshape(n_cols, -1)
+                if blas:
+                    weights = _blas_weights(block, tile, acc, q)
+                else:
+                    weights = _weights(block, tile, acc)
                 # (prefixes, heads, supports, suffix patterns) -> per prefix
                 # and support, heads outer and suffix patterns inner
                 weights = weights.reshape(n_pre, -1, m, n_pat).transpose(0, 2, 1, 3)
@@ -259,6 +278,6 @@ def isd_level_scan(scaled, add_t, sub_t, supports):
             found_j.append(best_j.ravel())
     out_w = np.empty(n_sup, dtype=np.int64)
     out_idx = np.empty(n_sup, dtype=np.int64)
-    out_w[order] = w + np.concatenate(found_w)
+    out_w[order] = w + np.concatenate(found_w).astype(np.int64)
     out_idx[order] = np.concatenate(found_j)
     return out_w, out_idx

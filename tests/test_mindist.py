@@ -361,32 +361,32 @@ def test_exhaustive_scan_matches_reference(p, m, k, monkeypatch):
     total = len(messages)
     # the default step puts every free row in one block; a step of 1 gives
     # one-row blocks, so the head loop runs
-    for step in (kernels._STEP_SYMBOLS, 1):
-        monkeypatch.setattr(kernels, "_STEP_SYMBOLS", step)
+    for step in (kernels._STEP_BYTES, 1):
+        monkeypatch.setattr(kernels, "_STEP_BYTES", step)
         for max_messages in (total, total // 3 + 1, 1):
             got = kernels.exhaustive_scan(scaled, add_t, sub_t, q, max_messages)
             assert got == reference_min(scaled, add_t, messages[:max_messages])
 
 
-# (p, m, k, columns, tile bytes): every KERNEL_CASES entry at a random width,
-# plus two more: N' > 255, where the accumulator is uint16, and tiles of two
-# heads, which split each 16-head prefix of level 5 across tiles
+# (p, m, k, columns, step): every KERNEL_CASES entry at a random width, plus
+# two more: N' > 255, where the accumulator is uint16, and a step of 200
+# bytes, which cuts the one 64-head prefix of level 5 into tiles on both
+# ways of counting
 ISD_CASES = [pytest.param(p, m, k, None, None, id=f"{p}-{m}-{k}") for p, m, k in KERNEL_CASES] + [
     pytest.param(3, 1, 4, 300, None, id="3-1-4-uint16"),
     pytest.param(5, 1, 5, 20, 200, id="5-1-5-split-tiles"),
 ]
 
-# kernel constants that force each way of counting equal symbols: compare and
-# sum, one BLAS matmul per tile, and BLAS with one symbol per one-hot chunk
+# kernel constants that force each way of counting equal symbols in every
+# batch: compare and sum, or float32 matmuls of one-hot operands
 WEIGHT_PATHS = [
-    {"_BLAS_MIN_HEADS": 1 << 62},
-    {"_BLAS_MIN_HEADS": 1},
-    {"_BLAS_MIN_HEADS": 1, "_ONEHOT_BYTES": 1},
+    {"_BLAS_MAX_Q": 0},
+    {"_BLAS_MAX_Q": 256, "_BLAS_MIN_HEADS": 1},
 ]
 
 
-@pytest.mark.parametrize("p,m,k,n_cols,tile", ISD_CASES)
-def test_isd_level_scan_matches_reference(p, m, k, n_cols, tile, monkeypatch):
+@pytest.mark.parametrize("p,m,k,n_cols,split_step", ISD_CASES)
+def test_isd_level_scan_matches_reference(p, m, k, n_cols, split_step, monkeypatch):
     field = make_field(p, m)
     q = field.q
     add_t, sub_t = field.kernel_tables()
@@ -396,23 +396,13 @@ def test_isd_level_scan_matches_reference(p, m, k, n_cols, tile, monkeypatch):
         supports = list(itertools.combinations(range(k), level))
         ref = [reference_min(scaled, add_t, support_patterns(s, k, q)) for s in supports]
         levels.append((supports, ref))
-    tile_heads = []
-    weights = kernels._weights
-
-    def spy(block, neg_heads, acc, q):
-        tile_heads.append((kernels._TILE_BYTES, neg_heads.shape[1]))
-        return weights(block, neg_heads, acc, q)
-
-    monkeypatch.setattr(kernels, "_weights", spy)
-    # the default step uses row-pair suffixes from level 3 on; a step of 1
-    # forces last-row suffixes and one head per comparison step; a tile of
-    # one byte holds one head, so the argmin carries across tiles
-    steps = (kernels._STEP_SYMBOLS, 1)
-    tiles = (kernels._TILE_BYTES, 1) + ((tile,) if tile else ())
-    for step, tile_bytes, path in itertools.product(steps, tiles, WEIGHT_PATHS):
+    # the default step uses row-pair suffixes from level 3 on and whole
+    # prefixes per tile; a step of 1 forces last-row suffixes, one head per
+    # tile, so the argmin carries across tiles, and one symbol per matmul
+    steps = (kernels._STEP_BYTES, 1) + ((split_step,) if split_step else ())
+    for step, path in itertools.product(steps, WEIGHT_PATHS):
         with monkeypatch.context() as patch:
-            patch.setattr(kernels, "_STEP_SYMBOLS", step)
-            patch.setattr(kernels, "_TILE_BYTES", tile_bytes)
+            patch.setattr(kernels, "_STEP_BYTES", step)
             for name, value in path.items():
                 patch.setattr(kernels, name, value)
             for supports, ref in levels:
@@ -420,10 +410,40 @@ def test_isd_level_scan_matches_reference(p, m, k, n_cols, tile, monkeypatch):
                 # the support rows are the pivot columns each message hits
                 want = [(w + len(s), j) for s, (w, j) in zip(supports, ref)]
                 got = list(zip(out_w.tolist(), out_idx.tolist()))
-                assert got == want, (step, tile_bytes, path)
-    if tile:
-        # the case's own tile size did cut a prefix into tiles of two heads
-        assert (tile, 2) in tile_heads
+                assert got == want, (step, path)
+    if split_step:
+        # level k has one support, so one prefix of (q-1)^(k-2) heads; the
+        # case's step cuts it into several tiles on both ways of counting
+        for path, counter in zip(WEIGHT_PATHS, ("_weights", "_blas_weights")):
+            tiles = []
+            count = getattr(kernels, counter)
+
+            def spy(block, neg_heads, *args, count=count):
+                tiles.append(neg_heads.shape[1])
+                return count(block, neg_heads, *args)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(kernels, "_STEP_BYTES", split_step)
+                patch.setattr(kernels, counter, spy)
+                for name, value in path.items():
+                    patch.setattr(kernels, name, value)
+                kernels.isd_level_scan(scaled, add_t, sub_t, np.array([range(k)]))
+            assert len(tiles) > 1 and sum(tiles) == (q - 1) ** (k - 2), (counter, tiles)
+
+
+def test_isd_level_scan_weight_beyond_accumulator(monkeypatch):
+    """N' = 255 fits the uint8 accumulator; 255 plus the pivots does not."""
+    field = make_field(5)
+    add_t, sub_t = field.kernel_tables()
+    generator = np.zeros((2, 255), dtype=np.int64)
+    generator[0] = 1  # every message on rows {0, 1} is nonzero everywhere
+    scaled = kernels.scaled_rows(field, generator)
+    for path in WEIGHT_PATHS:
+        with monkeypatch.context() as patch:
+            for name, value in path.items():
+                patch.setattr(kernels, name, value)
+            out_w, out_idx = kernels.isd_level_scan(scaled, add_t, sub_t, np.array([(0, 1)]))
+        assert (out_w.tolist(), out_idx.tolist()) == ([257], [0]), path
 
 
 # ---------------------------------------------------------------------------
