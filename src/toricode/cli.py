@@ -7,18 +7,13 @@ Subcommands:
   table     CSV parameter sweep of a recipe over a field range
   examples  reproduce the five golden [N, k, d] results
 
-All numeric output is deterministic for fixed inputs. `--threads` (or
-TORICODE_THREADS) is validated, at least 1, and not passed to the search.
-Large tiles of the information-set scan over GF(q), q <= 5, use numpy's
-BLAS thread pool, which `--threads` does not set; their counts are exact
-either way.
+All numeric output is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from importlib import resources
 
@@ -74,23 +69,6 @@ def _recipe_from_path(path: str):
         return recipe_from_dict(data)
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from exc
-
-
-def _check_threads(args) -> None:
-    """Reject a thread count below 1; the count is not passed to the search."""
-    if args.threads is not None:
-        threads, source = args.threads, "--threads"
-    else:
-        env = os.environ.get("TORICODE_THREADS", "").strip()
-        if not env:
-            return
-        try:
-            threads = int(env)
-        except ValueError as exc:
-            raise CliError(f"TORICODE_THREADS must be an integer, got {env!r}") from exc
-        source = "TORICODE_THREADS"
-    if threads < 1:
-        raise CliError(f"{source} must be at least 1, got {threads}")
 
 
 def _write(path: str, text: str) -> None:
@@ -254,9 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, field=True):
         if field:
             p.add_argument("--field", required=True, help="field size: p or p^m, e.g. 5 or 2^3")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads, at least 1 (default: TORICODE_THREADS); "
-                            "validated, not passed to the search or to numpy's BLAS")
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                        help="search budget in codeword-symbol operations")
         p.add_argument("--out", default=None, help="write the report to a file")
@@ -303,8 +278,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if hasattr(args, "threads"):
-            _check_threads(args)
         return args.func(args)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

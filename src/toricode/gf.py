@@ -236,27 +236,7 @@ class FieldSpec:
     # -- scalar arithmetic on canonical integers
 
     def add(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a + b) % self.p
-        if self.p == 2:
-            return a ^ b
-        out = 0
-        for pw in self._pw:
-            out += ((a // pw + b // pw) % self.p) * pw
-        return out
-
-    def neg(self, a: int) -> int:
-        if self.m == 1:
-            return (-a) % self.p
-        if self.p == 2:
-            return a
-        out = 0
-        for pw in self._pw:
-            out += ((-(a // pw)) % self.p) * pw
-        return out
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return int(self.add_arrays(a, b))
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -267,15 +247,6 @@ class FieldSpec:
         if a == 0:
             raise ZeroDivisionError(f"zero has no inverse in {self!r}")
         return int(self.exp[(-self.log[a]) % (self.q - 1)])
-
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise ZeroDivisionError("negative power of zero")
-            return 0
-        return int(self.exp[(int(self.log[a]) * e) % (self.q - 1)])
 
     # -- vectorized arithmetic on integer ndarrays
 

@@ -54,36 +54,9 @@ last m = C(k-1-a, s) columns of that table, a view.
 The kernel therefore scans one batch per last row a: the heads of all the
 prefixes ending at a against that one block. A batch is cut into tiles of
 whole prefixes, or of equal parts of one prefix when a prefix alone
-exceeds the step budget `_STEP_BYTES`, sized by what the tile's way of
-counting holds per head (below). Each (prefix, support) keeps its minimum
-across the tiles, and only a strictly lower weight replaces it, so the
-tiling never changes the first minimum.
-
-Counting equal symbols with BLAS
---------------------------------
-weight(h + b) = N - eq with eq = #{t : b_t = -h_t}, and
-
-    eq = sum over (value v, symbol t) of [-h_t = v] * [b_t = v],
-
-the product of two one-hot matrices indexed by (value, symbol). It costs
-2q flops per comparison, so it pays only on small fields: a batch over
-GF(q), q <= `_BLAS_MAX_Q`, with at least `_BLAS_MIN_HEADS` heads counts
-with float32 matmuls. Its tiles keep the float32 counts and their copies,
-about 16 bytes per head and block row, within half the step budget, and
-each matmul takes a chunk of symbols whose one-hot operands fit in the
-other half. Every other batch compares and sums, a tile's uint8
-comparisons within the step budget; so does the exhaustive scan, which
-passes one head per call and stays a plain cross-check that does not
-depend on BLAS. Whole ISD searches over GF(5) ran faster with the
-matmuls. Over GF(7) they won on some codes and lost on others, and from
-GF(8) on they lose to compare-and-sum on most tile shapes measured, from
-GF(16) on on every one.
-
-The count is exact. Every product is 0 or 1, so every partial sum, in any
-order, is an integer between 0 and N. `codes.GENERATOR_CAP` bounds k * N by
-2^24, so N <= 2^24, and float32 holds every integer up to 2^24 exactly. No
-partial sum is ever rounded, so neither BLAS's blocking nor the threads of
-numpy's BLAS can change a weight.
+exceeds the step budget `_STEP_BYTES` of uint8 comparisons. Each (prefix,
+support) keeps its minimum across the tiles, and only a strictly lower
+weight replaces it, so the tiling never changes the first minimum.
 """
 
 from __future__ import annotations
@@ -96,14 +69,8 @@ import numpy as np
 from .gf import table_lookup
 
 # bytes of the temporaries of one vectorised step: the uint8 comparisons of
-# an exhaustive block or an ISD tile, an ISD tile's float32 counts and
-# one-hot operands; also caps the ISD pair table
+# an exhaustive block or an ISD tile; also caps the ISD pair table
 _STEP_BYTES = 1 << 20
-# an ISD batch counts equal symbols with float32 matmuls when q is at most
-# _BLAS_MAX_Q and it holds at least _BLAS_MIN_HEADS heads; otherwise it
-# compares and sums (see Counting equal symbols with BLAS)
-_BLAS_MAX_Q = 5
-_BLAS_MIN_HEADS = 64
 
 
 def scaled_rows(spec, generator: np.ndarray) -> np.ndarray:
@@ -125,27 +92,6 @@ def _weights(block, neg_heads, acc):
     if neg_heads.shape[1] <= block.shape[1]:
         return (block[:, None, :] != neg_heads[:, :, None]).sum(axis=0, dtype=acc)
     return (block[:, :, None] != neg_heads[:, None, :]).sum(axis=0, dtype=acc).T
-
-
-def _blas_weights(block, neg_heads, acc, q):
-    """`_weights` as N - eq, eq from float32 matmuls of one-hot operands.
-
-    One matmul per chunk of symbols that keeps the two one-hot operands,
-    bool and float32, within half of `_STEP_BYTES` (see Counting
-    equal symbols with BLAS).
-    """
-    n_cols, n_rows = block.shape
-    n_heads = neg_heads.shape[1]
-    values = np.arange(q, dtype=np.uint8)[:, None, None]
-    chunk = max(1, _STEP_BYTES // (10 * q * (n_heads + n_rows)))  # symbols
-    # block rows outer: measured to touch less of BLAS's packing buffers
-    eq = np.zeros((n_rows, n_heads), dtype=np.float32)
-    for t0 in range(0, n_cols, chunk):
-        # one-hot, index (value, symbol): 1.0 where the symbol has the value
-        a = (neg_heads[None, t0 : t0 + chunk] == values).astype(np.float32)
-        b = (block[None, t0 : t0 + chunk] == values).astype(np.float32)
-        eq += b.reshape(-1, n_rows).T @ a.reshape(-1, n_heads)
-    return (n_cols - eq).astype(acc).T
 
 
 def exhaustive_scan(scaled, add_t, sub_t, q, max_messages):
@@ -237,13 +183,9 @@ def isd_level_scan(scaled, add_t, sub_t, supports):
         batch = grouped[lo : lo + count : m]  # the prefixes ending at row a
         lo += count
         block = suffixes[:, -m:].reshape(n_cols, m * n_pat)
-        n_rows = block.shape[1]
-        # one way of counting per batch, and tiles of whole prefixes, or of
-        # equal parts of one prefix, whose temporaries fit in _STEP_BYTES
-        # bytes: the comparisons, or the float32 counts and their copies
-        # (16 bytes per head and block row) with half the budget
-        blas = q <= _BLAS_MAX_Q and len(batch) * n_head >= _BLAS_MIN_HEADS
-        step = max(1, _STEP_BYTES // (32 * n_rows if blas else block.size))
+        # tiles of whole prefixes, or of equal parts of one prefix, whose
+        # comparisons fit in _STEP_BYTES bytes
+        step = max(1, _STEP_BYTES // block.size)
         n_grp = max(1, step // n_head)
         parts = -(-n_head // step)
         step = -(-n_head // parts)
@@ -258,10 +200,7 @@ def isd_level_scan(scaled, add_t, sub_t, supports):
                 heads = heads.reshape(n_cols, n_pre, -1)
             for h0 in range(0, n_head, step):
                 tile = heads[:, :, h0 : h0 + step].reshape(n_cols, -1)
-                if blas:
-                    weights = _blas_weights(block, tile, acc, q)
-                else:
-                    weights = _weights(block, tile, acc)
+                weights = _weights(block, tile, acc)
                 # (prefixes, heads, supports, suffix patterns) -> per prefix
                 # and support, heads outer and suffix patterns inner
                 weights = weights.reshape(n_pre, -1, m, n_pat).transpose(0, 2, 1, 3)

@@ -66,17 +66,26 @@ Vector = tuple[int, ...]
 _BOX_CHUNK = 1 << 14
 
 
+def _as_int(value, what: str) -> int:
+    """value as an int; a bool, a non-integral number or a non-number is a
+    ValueError naming `what`."""
+    try:
+        out = int(value)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or out != value or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return out
+
+
 def _as_int_vector(point, n: int | None = None) -> Vector:
-    vec = tuple(point)
+    try:
+        vec = tuple(point)
+    except TypeError as exc:
+        raise ValueError(f"expected a vector, got {point!r}") from exc
     if n is not None and len(vec) != n:
         raise ValueError(f"expected a vector of length {n}, got {point!r}")
-    out = []
-    for c in vec:
-        ci = int(c)
-        if ci != c:
-            raise ValueError(f"non-integer coordinate {c!r} in {point!r}")
-        out.append(ci)
-    return tuple(out)
+    return tuple(_as_int(c, "a coordinate") for c in vec)
 
 
 def _dot(a, x) -> int:
@@ -461,11 +470,13 @@ def polytope_to_dict(p: LatticePolytope) -> dict:
 
 def polytope_from_dict(data: dict) -> LatticePolytope:
     try:
-        n = int(data["n"])
+        n = data["n"]
         vertices = data["vertices"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"polytope JSON needs 'n' and 'vertices': {exc}") from exc
-    return from_vertices(n, vertices)
+    if not isinstance(vertices, list):
+        raise ValueError(f"polytope 'vertices' must be a list, got {vertices!r}")
+    return from_vertices(_as_int(n, "polytope 'n'"), vertices)
 
 
 def recipe_to_dict(r: ConstructionRecipe) -> dict:
@@ -483,15 +494,17 @@ def recipe_from_dict(data: dict) -> ConstructionRecipe:
         raw_steps = data["steps"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"recipe JSON needs 'steps': {exc}") from exc
+    if not isinstance(raw_steps, list):
+        raise ValueError(f"recipe 'steps' must be a list, got {raw_steps!r}")
     steps: list[Step] = []
     for i, item in enumerate(raw_steps):
         if not isinstance(item, dict) or len(item) != 1:
             raise ValueError(f"recipe step {i} must be a one-key object, got {item!r}")
         (key, value), = item.items()
         if key == "segment":
-            steps.append(Segment(int(value)))
+            steps.append(Segment(_as_int(value, f"recipe step {i} 'segment'")))
         elif key == "pyramid_scale":
-            steps.append(PyramidScale(int(value)))
+            steps.append(PyramidScale(_as_int(value, f"recipe step {i} 'pyramid_scale'")))
         else:
             raise ValueError(f"recipe step {i} has unknown kind {key!r}")
     return ConstructionRecipe(tuple(steps))

@@ -120,8 +120,9 @@ def test_large_extension_field_within_cap():
     f = make_field(2, 16)
     assert f.q == 65536
     g = f.generator
-    assert f.pow(g, f.q - 1) == 1
-    assert f.pow(g, (f.q - 1) // 257) != 1  # 257 divides 2^16 - 1
+    assert f.exp[1] == g
+    assert f.mul(int(f.exp[-1]), g) == 1  # g^(q-1) = 1
+    assert f.exp[(f.q - 1) // 257] != 1  # 257 divides 2^16 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +156,7 @@ def test_field_axioms_exhaustive_small(p, m):
     for a, b in itertools.product(elems, repeat=2):
         assert f.add(a, b) == f.add(b, a)
         assert f.mul(a, b) == f.mul(b, a)
-        assert f.add(a, f.neg(a)) == 0
+        assert f.add(a, int(f.neg_arrays(a))) == 0
         if b:
             assert f.mul(b, f.inv(b)) == 1
     for a, b, c in itertools.product(elems, repeat=3):
@@ -187,7 +188,7 @@ def test_array_ops_match_scalar_ops():
         for i in range(f.q * f.q):
             assert add[i] == f.add(int(a[i]), int(b[i]))
             assert mul[i] == f.mul(int(a[i]), int(b[i]))
-            assert sub[i] == f.sub(int(a[i]), int(b[i]))
+            assert f.add(int(sub[i]), int(b[i])) == a[i]
 
 
 def test_kernel_tables_consistent():
@@ -229,8 +230,8 @@ def test_primitive_element_gf2():
 @pytest.mark.parametrize("p,m", [(3, 1), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4)])
 def test_generator_powers_enumerate_nonzero_elements(p, m):
     f = make_field(p, m)
-    powers = {f.pow(f.generator, i) for i in range(f.q - 1)}
-    assert powers == set(range(1, f.q))
+    assert f.exp[1] == f.generator
+    assert set(f.exp.tolist()) == set(range(1, f.q))
     # smallest element of full order
     for a in range(1, f.generator):
         assert element_order(f, a) < f.q - 1
@@ -253,7 +254,7 @@ def test_torus_points_gf5_plane_endpoints():
     assert pts.shape == (16, 2)
     g = f.generator
     assert pts[0].tolist() == [1, 1]
-    assert pts[-1].tolist() == [f.pow(g, 3), f.pow(g, 3)]
+    assert pts[-1].tolist() == [f.mul(g, f.mul(g, g))] * 2
 
 
 def test_torus_points_gf2_cube():

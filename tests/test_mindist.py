@@ -370,18 +370,10 @@ def test_exhaustive_scan_matches_reference(p, m, k, monkeypatch):
 
 # (p, m, k, columns, step): every KERNEL_CASES entry at a random width, plus
 # two more: N' > 255, where the accumulator is uint16, and a step of 200
-# bytes, which cuts the one 64-head prefix of level 5 into tiles on both
-# ways of counting
+# bytes, which cuts the one 64-head prefix of level 5 into tiles
 ISD_CASES = [pytest.param(p, m, k, None, None, id=f"{p}-{m}-{k}") for p, m, k in KERNEL_CASES] + [
     pytest.param(3, 1, 4, 300, None, id="3-1-4-uint16"),
     pytest.param(5, 1, 5, 20, 200, id="5-1-5-split-tiles"),
-]
-
-# kernel constants that force each way of counting equal symbols in every
-# batch: compare and sum, or float32 matmuls of one-hot operands
-WEIGHT_PATHS = [
-    {"_BLAS_MAX_Q": 0},
-    {"_BLAS_MAX_Q": 256, "_BLAS_MIN_HEADS": 1},
 ]
 
 
@@ -397,53 +389,42 @@ def test_isd_level_scan_matches_reference(p, m, k, n_cols, split_step, monkeypat
         ref = [reference_min(scaled, add_t, support_patterns(s, k, q)) for s in supports]
         levels.append((supports, ref))
     # the default step uses row-pair suffixes from level 3 on and whole
-    # prefixes per tile; a step of 1 forces last-row suffixes, one head per
-    # tile, so the argmin carries across tiles, and one symbol per matmul
+    # prefixes per tile; a step of 1 forces last-row suffixes and one head
+    # per tile, so the argmin carries across tiles
     steps = (kernels._STEP_BYTES, 1) + ((split_step,) if split_step else ())
-    for step, path in itertools.product(steps, WEIGHT_PATHS):
-        with monkeypatch.context() as patch:
-            patch.setattr(kernels, "_STEP_BYTES", step)
-            for name, value in path.items():
-                patch.setattr(kernels, name, value)
-            for supports, ref in levels:
-                out_w, out_idx = kernels.isd_level_scan(scaled, add_t, sub_t, np.array(supports))
-                # the support rows are the pivot columns each message hits
-                want = [(w + len(s), j) for s, (w, j) in zip(supports, ref)]
-                got = list(zip(out_w.tolist(), out_idx.tolist()))
-                assert got == want, (step, path)
+    for step in steps:
+        monkeypatch.setattr(kernels, "_STEP_BYTES", step)
+        for supports, ref in levels:
+            out_w, out_idx = kernels.isd_level_scan(scaled, add_t, sub_t, np.array(supports))
+            # the support rows are the pivot columns each message hits
+            want = [(w + len(s), j) for s, (w, j) in zip(supports, ref)]
+            got = list(zip(out_w.tolist(), out_idx.tolist()))
+            assert got == want, step
     if split_step:
         # level k has one support, so one prefix of (q-1)^(k-2) heads; the
-        # case's step cuts it into several tiles on both ways of counting
-        for path, counter in zip(WEIGHT_PATHS, ("_weights", "_blas_weights")):
-            tiles = []
-            count = getattr(kernels, counter)
+        # case's step cuts it into several tiles
+        tiles = []
+        count = kernels._weights
 
-            def spy(block, neg_heads, *args, count=count):
-                tiles.append(neg_heads.shape[1])
-                return count(block, neg_heads, *args)
+        def spy(block, neg_heads, acc):
+            tiles.append(neg_heads.shape[1])
+            return count(block, neg_heads, acc)
 
-            with monkeypatch.context() as patch:
-                patch.setattr(kernels, "_STEP_BYTES", split_step)
-                patch.setattr(kernels, counter, spy)
-                for name, value in path.items():
-                    patch.setattr(kernels, name, value)
-                kernels.isd_level_scan(scaled, add_t, sub_t, np.array([range(k)]))
-            assert len(tiles) > 1 and sum(tiles) == (q - 1) ** (k - 2), (counter, tiles)
+        monkeypatch.setattr(kernels, "_STEP_BYTES", split_step)
+        monkeypatch.setattr(kernels, "_weights", spy)
+        kernels.isd_level_scan(scaled, add_t, sub_t, np.array([range(k)]))
+        assert len(tiles) > 1 and sum(tiles) == (q - 1) ** (k - 2), tiles
 
 
-def test_isd_level_scan_weight_beyond_accumulator(monkeypatch):
+def test_isd_level_scan_weight_beyond_accumulator():
     """N' = 255 fits the uint8 accumulator; 255 plus the pivots does not."""
     field = make_field(5)
     add_t, sub_t = field.kernel_tables()
     generator = np.zeros((2, 255), dtype=np.int64)
     generator[0] = 1  # every message on rows {0, 1} is nonzero everywhere
     scaled = kernels.scaled_rows(field, generator)
-    for path in WEIGHT_PATHS:
-        with monkeypatch.context() as patch:
-            for name, value in path.items():
-                patch.setattr(kernels, name, value)
-            out_w, out_idx = kernels.isd_level_scan(scaled, add_t, sub_t, np.array([(0, 1)]))
-        assert (out_w.tolist(), out_idx.tolist()) == ([257], [0]), path
+    out_w, out_idx = kernels.isd_level_scan(scaled, add_t, sub_t, np.array([(0, 1)]))
+    assert (out_w.tolist(), out_idx.tolist()) == ([257], [0])
 
 
 # ---------------------------------------------------------------------------
