@@ -35,16 +35,21 @@ class CliError(Exception):
     """Input or usage failure; exits with status 2."""
 
 
-def _load_json(path: str, kind: str):
+def _load_json(path: str, kind: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError as exc:
         raise CliError(f"{kind} file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(
             f"{path}: invalid JSON at byte {exc.pos} (line {exc.lineno}): {exc.msg}"
         ) from exc
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    if not isinstance(data, dict):
+        raise CliError(f"{path}: a {kind} file must hold a JSON object")
+    return data
 
 
 def _polytope_from_args(args) -> "tuple":

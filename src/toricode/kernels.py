@@ -9,13 +9,18 @@ additive inverse of h_t in the additive group of GF(p^m). So
 
     weight(h + b) = #{t : b_t != -h_t},
 
-one uint8 comparison of the block against the negated head `neg[h]`
-(`neg = sub_t[0]`) followed by a sum over symbols. The identity uses nothing
-but the group law, so it is exact over every field the kernels accept
-(q <= 256, any p and m) and does no field arithmetic. The addition table
-`add_t` is used only to build the blocks and the heads, which hold a small
-fraction of the symbols compared. Blocks and heads are stored symbol-major,
-(N, rows), so the sum over symbols adds contiguous planes.
+one uint8 comparison of the block against the negated head -h followed by
+a sum over symbols. The identity uses nothing but the group law, so it is
+exact over every field the kernels accept (q <= 256, any p and m) and does
+no field arithmetic. The addition table `add_t` is used only to build the
+blocks and the heads, which hold a small fraction of the symbols compared.
+Blocks and heads are stored symbol-major, (N, rows), so the sum over
+symbols adds contiguous planes.
+
+The count casts nothing: the comparison's bool array is read as uint8 (a
+view) and summed in uint8 over chunks of at most 255 symbols, so no chunk
+count wraps; the chunk sums are added in the narrowest unsigned dtype that
+holds N, the largest weight. `_weights` is this one counting primitive.
 
 Enumeration order and tie-break
 -------------------------------
@@ -32,6 +37,23 @@ r_0 is 1 and the values on r_1..r_{w-1} run over 1..q-1 lexicographically
 Both kernels return the minimum weight and the first index attaining it,
 compared as (weight, index), so results do not depend on block or step
 sizes. `work_count` in `mindist` is computed from the message counts.
+
+Heads of the exhaustive scan
+----------------------------
+A lead's heads are 1 on the lead row and every digit combination of the
+rows between it and the block, in product order. They are built negated:
+negation is additive and -(v g) = (-v) g, so a head is a sum of rows of
+`scaled` at negated values, and a tile of heads takes one `table_lookup`
+per head row. A tile holds every value of the last head rows, a run of
+values of the row before them and one value of each earlier row: as many
+heads as fit the step budget `_STEP_BYTES`, and consecutive tiles hold
+consecutive heads.
+
+The blocks for t >= 2 are built only while they fit `_STEP_BYTES`. The
+block for t = 1 is the last row itself, a view of `scaled` when a copy
+would not fit. One comparison takes several heads against the whole block,
+or one head against one column of a block over the budget, so the flat
+argmin of its weights is the first minimum in message order.
 
 Prefix batching (ISD)
 ---------------------
@@ -69,7 +91,8 @@ import numpy as np
 from .gf import table_lookup
 
 # bytes of the temporaries of one vectorised step: the uint8 comparisons of
-# an exhaustive block or an ISD tile; also caps the ISD pair table
+# an exhaustive or an ISD tile; also caps the exhaustive blocks and head
+# tiles and the ISD pair table
 _STEP_BYTES = 1 << 20
 
 
@@ -85,13 +108,26 @@ def _weights(block, neg_heads, acc):
     Both operands are symbol-major, (N, rows): the sum over symbols then adds
     whole contiguous planes, which numpy vectorises, instead of reducing
     short rows one by one. The longer of the two row axes is the innermost
-    one, so every comparison runs along a long contiguous line. `acc` is the
-    narrowest unsigned dtype holding N, the largest possible weight, so the
-    narrow sum is exact.
+    one, so every comparison runs along a long contiguous line.
+
+    The comparison's bool array is read as uint8 (a view, no cast) and its
+    planes are summed in uint8 over chunks of at most 255 symbols: a chunk
+    count is at most 255, so it cannot wrap. The chunk sums are added in
+    `acc`, the narrowest unsigned dtype holding N, the largest possible
+    weight, so the total is exact too; for N <= 255 there is one chunk and
+    nothing is widened.
     """
     if neg_heads.shape[1] <= block.shape[1]:
-        return (block[:, None, :] != neg_heads[:, :, None]).sum(axis=0, dtype=acc)
-    return (block[:, :, None] != neg_heads[:, None, :]).sum(axis=0, dtype=acc).T
+        a, b, flip = block[:, None, :], neg_heads[:, :, None], False
+    else:
+        a, b, flip = block[:, :, None], neg_heads[:, None, :], True
+    ne = (a != b).view(np.uint8)
+    full = len(ne) - len(ne) % 255
+    weights = ne[full:].sum(axis=0, dtype=np.uint8)
+    if full:
+        chunks = ne[:full].reshape(-1, 255, *ne.shape[1:]).sum(axis=1, dtype=np.uint8)
+        weights = np.add(chunks.sum(axis=0, dtype=acc), weights, dtype=acc)
+    return weights.T if flip else weights
 
 
 def exhaustive_scan(scaled, add_t, sub_t, q, max_messages):
@@ -104,9 +140,15 @@ def exhaustive_scan(scaled, add_t, sub_t, q, max_messages):
     neg = sub_t[0]
     acc = np.min_scalar_type(n_cols)
     # blocks[t]: (N, q^t), every digit combination of the last t rows, first
-    # row most significant; built once and shared by every lead
+    # row most significant; built once and shared by every lead, none over
+    # _STEP_BYTES bytes except the zero block of t = 0 when N alone exceeds
+    # it. blocks[1] is the last row itself: a view of `scaled` when a copy
+    # would exceed _STEP_BYTES
     blocks = [np.zeros((n_cols, 1), dtype=np.uint8)]
-    while len(blocks) < k and (len(blocks) == 1 or q * blocks[-1].size <= _STEP_BYTES):
+    if k > 1:
+        last = scaled[k - 1].T
+        blocks.append(np.ascontiguousarray(last) if last.size <= _STEP_BYTES else last)
+    while len(blocks) < k and q * blocks[-1].size <= _STEP_BYTES:
         row = scaled[k - len(blocks)].T
         block = table_lookup(add_t, row[:, :, None], blocks[-1][:, None, :])
         blocks.append(block.reshape(n_cols, -1))
@@ -119,19 +161,44 @@ def exhaustive_scan(scaled, add_t, sub_t, q, max_messages):
         count = min(q**free, max_messages - base)
         t = min(free, len(blocks) - 1)
         block, span = blocks[t], q**t
+        # heads and block columns per comparison, whose uint8 comparisons fit
+        # _STEP_BYTES: several heads against the whole block, or one head
+        # against one column of a block over the budget
+        if block.size <= _STEP_BYTES:
+            per_call, cols = _STEP_BYTES // block.size, span
+        else:
+            per_call, cols = 1, 1
+        # values per tile on each head row, last row first: as many heads as
+        # fit _STEP_BYTES bytes, one head if N exceeds it (see Heads of the
+        # exhaustive scan)
         head_rows = range(lead + 1, k - t)
-        for combo_idx, combo in enumerate(product(range(q), repeat=len(head_rows))):
-            off = combo_idx * span
-            if off >= count:
+        room = max(1, _STEP_BYTES // n_cols)
+        runs = []
+        for _ in head_rows:
+            runs.insert(0, min(q, room))
+            room //= runs[0]
+        # negated values of each run; -(v g) = (-v) g
+        values = [[neg[v : v + run] for v in range(0, q, run)] for run in runs]
+        h0 = 0
+        for tile_values in product(*values):
+            if h0 * span >= count:
                 break
-            head = scaled[lead, 1]
-            for row, val in zip(head_rows, combo):
-                if val:
-                    head = table_lookup(add_t, head, scaled[row, val])
-            weights = _weights(block[:, : count - off], neg[head][:, None], acc)[0]
-            j = int(weights.argmin())
-            if int(weights[j]) < best_w:
-                best_w, best_idx = int(weights[j]), base + off + j
+            # negated heads (N, tile), 1 on the lead row; negation is additive
+            heads = scaled[lead, neg[1]][:, None]
+            for row, vals in zip(head_rows, tile_values):
+                if len(vals) > 1 or vals[0]:  # a zero row adds nothing
+                    heads = table_lookup(add_t, heads[:, :, None], scaled[row, vals].T[:, None, :])
+                    heads = heads.reshape(n_cols, -1)
+            for c0, b0 in product(range(0, heads.shape[1], per_call), range(0, span, cols)):
+                off = (h0 + c0) * span + b0
+                if off >= count:
+                    break
+                weights = _weights(block[:, b0 : b0 + cols], heads[:, c0 : c0 + per_call], acc)
+                weights = weights.ravel()[: count - off]
+                j = int(weights.argmin())
+                if int(weights[j]) < best_w:
+                    best_w, best_idx = int(weights[j]), base + off + j
+            h0 += heads.shape[1]
         base += q**free
     return best_w, best_idx
 

@@ -34,6 +34,10 @@ from .codes import ToricCode, evaluate
 from .gf import gf_matvec, row_reduce
 
 DEFAULT_BUDGET = 2**34  # codeword-symbol operations
+# bytes of the (k, q, N) table of scaled generator rows, refused before
+# anything is built; a search holds a few tables of this size at most (its
+# transposed build copy, the ISD's symbol-major rows and their negation)
+SCALED_CAP = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -60,6 +64,11 @@ def _prepare(code: ToricCode):
         raise ValueError(
             "minimum-distance search needs a full-rank generator; "
             "build the code inside the cube [0, q-2]^n"
+        )
+    size = code.k * spec.q * code.block_length
+    if size > SCALED_CAP:
+        raise ValueError(
+            f"scaled-row table of k x q x N = {size} bytes exceeds the cap {SCALED_CAP}"
         )
     add_t, sub_t = spec.kernel_tables()
     return spec, add_t, sub_t

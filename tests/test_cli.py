@@ -214,6 +214,33 @@ def test_malformed_json_is_one_error_line(capsys, tmp_path, flag, data):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("flag", ["--polytope", "--recipe"])
+def test_directory_input_is_one_error_line(capsys, tmp_path, flag):
+    code, out, err = run_cli(capsys, ["mindist", "--field", "5", flag, str(tmp_path)])
+    assert code == 2 and out == ""
+    assert err == f"error: cannot read {tmp_path}: Is a directory\n", err
+
+
+@pytest.mark.parametrize("flag", ["--polytope", "--recipe"])
+@pytest.mark.parametrize("text", ["[1, 2]", "3", '"steps"', "null"])
+def test_json_that_is_not_an_object_is_one_error_line(capsys, tmp_path, flag, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, ["mindist", "--field", "5", flag, str(path)])
+    assert code == 2 and out == ""
+    kind = flag.lstrip("-")
+    assert err == f"error: {path}: a {kind} file must hold a JSON object\n", err
+
+
+def test_scaled_table_over_the_cap_is_one_error_line(capsys, tmp_path):
+    """A 2-point segment in dimension 3 over GF(101): N = 10^6, k = 2."""
+    path = tmp_path / "segment.json"
+    path.write_text(json.dumps({"n": 3, "vertices": [[0, 0, 0], [1, 0, 0]]}))
+    code, out, err = run_cli(capsys, ["mindist", "--field", "101", "--polytope", str(path)])
+    assert code == 2 and out == ""
+    assert err == "error: scaled-row table of k x q x N = 202000000 bytes exceeds the cap 33554432\n"
+
+
 def test_examples_golden_lines(capsys):
     code, out, _ = run_cli(capsys, ["examples"])
     assert code == 0

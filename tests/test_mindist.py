@@ -11,7 +11,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from toricode import kernels
+from toricode import kernels, mindist
 from toricode.codes import build_code, evaluate
 from toricode.gf import field_for_order, make_field
 from toricode.mindist import (
@@ -311,6 +311,23 @@ def test_auto_method_dispatch():
         min_distance(triangle_code(make_field(5)), method="nonsense")
 
 
+@pytest.mark.parametrize("method", ["exhaustive", "isd"])
+def test_scaled_table_over_the_cap_is_refused_before_it_is_built(method, monkeypatch):
+    code = triangle_code(make_field(5))
+    size = code.k * code.field.q * code.block_length
+
+    def refuse(*_):
+        raise AssertionError("scaled rows built over the cap")
+
+    monkeypatch.setattr(mindist, "SCALED_CAP", size - 1)
+    monkeypatch.setattr(kernels, "scaled_rows", refuse)
+    with pytest.raises(ValueError, match=f"k x q x N = {size} bytes exceeds the cap {size - 1}"):
+        min_distance(code, method=method)
+    monkeypatch.undo()
+    monkeypatch.setattr(mindist, "SCALED_CAP", size)  # a table at the cap is built
+    assert min_distance(code, method=method).d == 8
+
+
 def test_rejects_rank_deficient_code():
     field = make_field(3)
     seg = from_vertices(1, [(0,), (2,)])
@@ -351,21 +368,89 @@ def test_scaled_rows_are_scalar_products(p, m, k):
         assert scaled[i, v, t] == field.mul(v, int(generator[i, t]))
 
 
-@pytest.mark.parametrize("p,m,k", KERNEL_CASES)
-def test_exhaustive_scan_matches_reference(p, m, k, monkeypatch):
+# (p, m, k, columns, steps): every KERNEL_CASES entry at a random width,
+# plus N = 300 > 255, where the counts take two chunks, under steps that
+# give a block copy with two-value head runs and two heads per comparison,
+# and a view block compared column by column
+EXHAUSTIVE_CASES = [
+    pytest.param(p, m, k, None, (), id=f"{p}-{m}-{k}") for p, m, k in KERNEL_CASES
+] + [pytest.param(5, 1, 5, 300, (3000, 1000), id="5-1-5-wide")]
+
+
+@pytest.mark.parametrize("p,m,k,n_cols,more_steps", EXHAUSTIVE_CASES)
+def test_exhaustive_scan_matches_reference(p, m, k, n_cols, more_steps, monkeypatch):
     field = make_field(p, m)
     q = field.q
     add_t, sub_t = field.kernel_tables()
-    scaled = random_scaled(field, k, seed=q)
+    scaled = random_scaled(field, k, seed=q, n_cols=n_cols)
     messages = list(normalized_messages(k, q))
     total = len(messages)
     # the default step puts every free row in one block; a step of 1 gives
-    # one-row blocks, so the head loop runs
-    for step in (kernels._STEP_BYTES, 1):
+    # the last row as a view block and one head per tile
+    for step in (kernels._STEP_BYTES, 1) + more_steps:
         monkeypatch.setattr(kernels, "_STEP_BYTES", step)
         for max_messages in (total, total // 3 + 1, 1):
             got = kernels.exhaustive_scan(scaled, add_t, sub_t, q, max_messages)
-            assert got == reference_min(scaled, add_t, messages[:max_messages])
+            assert got == reference_min(scaled, add_t, messages[:max_messages]), step
+
+
+@pytest.mark.parametrize("n", [1, 254, 255, 256, 510, 511, 600])
+@pytest.mark.parametrize("n_block,n_heads", [(5, 3), (3, 5)], ids=["block-wider", "heads-wider"])
+def test_weights_match_direct_count(n, n_block, n_heads):
+    """Counts up to N in both orientations, across the 255-symbol chunks."""
+    rng = np.random.default_rng(n)
+    block = rng.integers(0, 2, size=(n, n_block), dtype=np.uint8)
+    heads = rng.integers(0, 2, size=(n, n_heads), dtype=np.uint8)
+    block[:, 0] = 1  # every symbol differs: weight N exactly
+    heads[:, 0] = 0
+    heads[:, 1] = block[:, 1]  # every symbol agrees: weight 0
+    acc = np.min_scalar_type(n)
+    got = kernels._weights(block, heads, acc)
+    want = (block[:, None, :] != heads[:, :, None]).sum(axis=0)
+    assert got.shape == (n_heads, n_block) and got.dtype == acc
+    assert (got == want).all()
+    assert got[0, 0] == n and got[1, 1] == 0
+
+
+@pytest.mark.parametrize("step", [3000, 1000, 1])
+def test_exhaustive_scan_tables_fit_the_step(step, monkeypatch):
+    """No block or head table that the scan builds exceeds max(step, N) bytes."""
+    field = make_field(5)
+    q, k, n_cols = field.q, 5, 300
+    add_t, sub_t = field.kernel_tables()
+    scaled = random_scaled(field, k, seed=q, n_cols=n_cols)
+    sizes = []
+    lookup = kernels.table_lookup
+
+    def spy(table, a, b):
+        out = lookup(table, a, b)
+        sizes.append(out.nbytes)
+        return out
+
+    monkeypatch.setattr(kernels, "_STEP_BYTES", step)
+    monkeypatch.setattr(kernels, "table_lookup", spy)
+    kernels.exhaustive_scan(scaled, add_t, sub_t, q, (q**k - 1) // (q - 1))
+    assert sizes and max(sizes) <= max(step, n_cols), sizes
+
+
+# the benchmark's exhaustive workload: one code per field family, with the
+# results of the scan before its counting and head build were batched
+EXHAUSTIVE_PINS = [
+    pytest.param(lambda: box([1, 1, 1]), (7, 1), 125, [1] * 8, 960800, id="cube@GF(7)"),
+    pytest.param(lambda: dilate(standard_simplex(2), 2), (2, 4), 195, [1, 0, 0, 1, 0, 1],
+                 1118481, id="2simplex2@GF(16)"),
+    pytest.param(
+        lambda: realize_recipe(ConstructionRecipe((Segment(1), Segment(2), PyramidScale(1)))),
+        (3, 2), 336, [1, 0, 0, 1, 1, 0, 1], 597871, id="S1S2P1@GF(9)",
+    ),
+]
+
+
+@pytest.mark.parametrize("polytope,field,d,witness,work", EXHAUSTIVE_PINS)
+def test_exhaustive_results_are_pinned(polytope, field, d, witness, work):
+    r = min_distance_exhaustive(build_code(polytope(), make_field(*field)))
+    assert (r.d, r.witness.tolist(), r.work_count, r.exact) == (d, witness, work, True)
+    assert (r.lower, r.upper) == (d, d)
 
 
 # (p, m, k, columns, step): every KERNEL_CASES entry at a random width, plus
