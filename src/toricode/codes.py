@@ -10,6 +10,7 @@ contracts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,9 +72,10 @@ def build_code(
     linearly independent and dim = |P o Z^n|. With allow_outside_cube the
     code is built anyway and k is defined as the generator rank.
 
-    A generator of more than GENERATOR_CAP entries is a ValueError raised
-    before anything is allocated. Under the cap (q-1)^n <= 2^24, so a sum of
-    n per-axis logs is at most n(q-2) < 2^16 and fits uint16.
+    A generator of more than GENERATOR_CAP entries, or a bounding box of
+    more than GENERATOR_CAP points, is a ValueError raised before anything
+    is allocated. Under the cap (q-1)^n <= 2^24, so a sum of n per-axis
+    logs is at most n(q-2) < 2^16 and fits uint16.
     """
     q = field.q
     if not allow_outside_cube:
@@ -87,9 +89,15 @@ def build_code(
     n = polytope.dim
     r = q - 1
     cols = r**n
-    # a torus over the cap is refused before the lattice points are enumerated
-    rows = "k" if cols > GENERATOR_CAP else len(polytope.lattice_points)
-    if cols > GENERATOR_CAP or rows * cols > GENERATOR_CAP:
+    # a torus or a bounding box over the cap is refused before the lattice
+    # points are enumerated; an in-cube box has at most (q-1)^n points
+    if cols > GENERATOR_CAP:
+        raise ValueError(f"generator of k x {cols} entries exceeds the cap {GENERATOR_CAP}")
+    box = math.prod(b - a + 1 for a, b in zip(*polytope.bounding_box))
+    if box > GENERATOR_CAP:
+        raise ValueError(f"bounding box of {box} points exceeds the cap {GENERATOR_CAP}")
+    rows = len(polytope.lattice_points)
+    if rows * cols > GENERATOR_CAP:
         raise ValueError(f"generator of {rows} x {cols} entries exceeds the cap {GENERATOR_CAP}")
     monomials = polytope.lattice_points
     # element codes fit the narrowest unsigned type holding q - 1

@@ -456,7 +456,7 @@ def _eliminate(ar: _Arith, mat: np.ndarray, blocks):
     the result is the plain loop's on the columns in that order.
     """
     rows, cols = mat.shape
-    t = ar.cast(np.eye(rows))
+    t = np.eye(rows, dtype=ar.dtype)
     r = 0
     pivots: list[int] = []
     for block in blocks:
@@ -510,8 +510,12 @@ def row_reduce(spec: FieldSpec, mat: np.ndarray):
 
 def gf_rank(spec: FieldSpec, mat: np.ndarray) -> int:
     """Rank over GF(q): the pivot count of the elimination over strided
-    column blocks (module docstring), without forming reduced."""
+    column blocks (module docstring), without forming reduced. A tall
+    matrix is ranked as its transpose, so the transform is never larger
+    than min(rows, cols) squared."""
     mat = np.asarray(mat)
+    if mat.shape[0] > mat.shape[1]:
+        mat = mat.T
     cols = mat.shape[1]
     stride = -(-cols // _BLOCK_COLUMNS)
     while math.gcd(stride, cols) > 1:

@@ -38,22 +38,24 @@ Both kernels return the minimum weight and the first index attaining it,
 compared as (weight, index), so results do not depend on block or step
 sizes. `work_count` in `mindist` is computed from the message counts.
 
-Heads of the exhaustive scan
-----------------------------
-A lead's heads are 1 on the lead row and every digit combination of the
-rows between it and the block, in product order. They are built negated:
-negation is additive and -(v g) = (-v) g, so a head is a sum of rows of
-`scaled` at negated values, and a tile of heads takes one `table_lookup`
-per head row. A tile holds every value of the last head rows, a run of
-values of the row before them and one value of each earlier row: as many
-heads as fit the step budget `_STEP_BYTES`, and consecutive tiles hold
-consecutive heads.
+Tables
+------
+Every block, head and suffix table is a Cartesian sum of rows of `scaled`
+in product order, built by `_combos`, one `table_lookup` per row. Heads
+are built negated: negation is additive and -(v g) = (-v) g, so a negated
+head sums rows of `scaled` at negated values.
 
-The blocks for t >= 2 are built only while they fit `_STEP_BYTES`. The
-block for t = 1 is the last row itself, a view of `scaled` when a copy
-would not fit. One comparison takes several heads against the whole block,
-or one head against one column of a block over the budget, so the flat
-argmin of its weights is the first minimum in message order.
+The exhaustive scan has one block, every digit combination of the last t
+rows, where t >= 1 is the most rows whose q^t columns fit `_STEP_BYTES`
+(the last row itself, a view, when t = 1). A lead with f < t free rows
+uses the block's first q^f columns, whose leading digits are 0. A lead's
+heads are 1 on the lead row and every digit combination of the rows
+between it and the block. A tile fixes the digits of the earlier of those
+rows and takes every value of the last j, j again the most rows that fit
+`_STEP_BYTES`, so consecutive tiles hold consecutive heads. A comparison
+takes as many block columns as fit the budget against one head, or the
+whole block against as many heads as fit, so the flat argmin of its
+weights is the first minimum in message order.
 
 Prefix batching (ISD)
 ---------------------
@@ -75,10 +77,11 @@ last m = C(k-1-a, s) columns of that table, a view.
 
 The kernel therefore scans one batch per last row a: the heads of all the
 prefixes ending at a against that one block. A batch is cut into tiles of
-whole prefixes, or of equal parts of one prefix when a prefix alone
-exceeds the step budget `_STEP_BYTES` of uint8 comparisons. Each (prefix,
-support) keeps its minimum across the tiles, and only a strictly lower
-weight replaces it, so the tiling never changes the first minimum.
+whole prefixes, or of `step` heads of one prefix (the last tile shorter)
+when a prefix alone exceeds the step budget `_STEP_BYTES` of uint8
+comparisons. Each (prefix, support) keeps its minimum across the tiles,
+and only a strictly lower weight replaces it, so the tiling never changes
+the first minimum.
 """
 
 from __future__ import annotations
@@ -90,9 +93,10 @@ import numpy as np
 
 from .gf import table_lookup
 
-# bytes of the temporaries of one vectorised step: the uint8 comparisons of
-# an exhaustive or an ISD tile; also caps the exhaustive blocks and head
-# tiles and the ISD pair table
+# bytes of the uint8 tables and comparisons of one vectorised step: an
+# exhaustive block, head tile or comparison, an ISD head table, pair table
+# or comparison. A `table_lookup` also holds about 11 bytes of index per
+# output byte while it runs, so a table at the budget peaks near 11x it
 _STEP_BYTES = 1 << 20
 
 
@@ -100,6 +104,17 @@ def scaled_rows(spec, generator: np.ndarray) -> np.ndarray:
     """(k, q, N) uint8 table: scaled[i, v, :] = v * generator[i, :] over GF(q)."""
     table = np.take(spec.mul_table(), generator, axis=1)  # (q, k, N)
     return np.ascontiguousarray(table.transpose(1, 0, 2))
+
+
+def _combos(add_t, tables):
+    """Every sum of one entry along the last axis of each table, the first
+    table most significant (product order); leading axes are batch axes.
+    One table is returned as it is."""
+    out = tables[0]
+    for table in tables[1:]:
+        out = table_lookup(add_t, out[..., :, None], table[..., None, :])
+        out = out.reshape(*out.shape[:-2], -1)
+    return out
 
 
 def _weights(block, neg_heads, acc):
@@ -139,19 +154,14 @@ def exhaustive_scan(scaled, add_t, sub_t, q, max_messages):
     k, _, n_cols = scaled.shape
     neg = sub_t[0]
     acc = np.min_scalar_type(n_cols)
-    # blocks[t]: (N, q^t), every digit combination of the last t rows, first
-    # row most significant; built once and shared by every lead, none over
-    # _STEP_BYTES bytes except the zero block of t = 0 when N alone exceeds
-    # it. blocks[1] is the last row itself: a view of `scaled` when a copy
-    # would exceed _STEP_BYTES
-    blocks = [np.zeros((n_cols, 1), dtype=np.uint8)]
-    if k > 1:
-        last = scaled[k - 1].T
-        blocks.append(np.ascontiguousarray(last) if last.size <= _STEP_BYTES else last)
-    while len(blocks) < k and q * blocks[-1].size <= _STEP_BYTES:
-        row = scaled[k - len(blocks)].T
-        block = table_lookup(add_t, row[:, :, None], blocks[-1][:, None, :])
-        blocks.append(block.reshape(n_cols, -1))
+    fit = 0  # the most rows whose digit combinations fit _STEP_BYTES
+    while q ** (fit + 1) * n_cols <= _STEP_BYTES:
+        fit += 1
+    # the one block (N, q^t): every digit combination of the last t rows, a
+    # view of the last row when t = 1; a lead with f < t free rows uses its
+    # first q^f columns, whose leading digits are 0
+    t = max(1, min(k - 1, fit))
+    block = _combos(add_t, [row.T for row in scaled[k - t :]])
     best_w, best_idx = n_cols + 1, -1
     base = 0
     for lead in range(k):
@@ -159,38 +169,24 @@ def exhaustive_scan(scaled, add_t, sub_t, q, max_messages):
             break
         free = k - 1 - lead
         count = min(q**free, max_messages - base)
-        t = min(free, len(blocks) - 1)
-        block, span = blocks[t], q**t
-        # heads and block columns per comparison, whose uint8 comparisons fit
-        # _STEP_BYTES: several heads against the whole block, or one head
-        # against one column of a block over the budget
-        if block.size <= _STEP_BYTES:
-            per_call, cols = _STEP_BYTES // block.size, span
-        else:
-            per_call, cols = 1, 1
-        # values per tile on each head row, last row first: as many heads as
-        # fit _STEP_BYTES bytes, one head if N exceeds it (see Heads of the
-        # exhaustive scan)
+        span = q ** min(free, t)
+        # a tile of heads fixes the digits of the first n_fixed head rows
+        # and sweeps every value of the rest
         head_rows = range(lead + 1, k - t)
-        room = max(1, _STEP_BYTES // n_cols)
-        runs = []
-        for _ in head_rows:
-            runs.insert(0, min(q, room))
-            room //= runs[0]
-        # negated values of each run; -(v g) = (-v) g
-        values = [[neg[v : v + run] for v in range(0, q, run)] for run in runs]
-        h0 = 0
-        for tile_values in product(*values):
-            if h0 * span >= count:
+        n_fixed = max(0, len(head_rows) - fit)
+        swept = [scaled[r, neg].T for r in head_rows[n_fixed:]]  # -(v g) = (-v) g
+        tile = q ** len(swept)
+        # block columns and heads per comparison within _STEP_BYTES
+        cols = min(span, max(1, _STEP_BYTES // n_cols))
+        per_call = max(1, _STEP_BYTES // (n_cols * cols))
+        for i, digits in enumerate(product(range(q), repeat=n_fixed)):
+            if i * tile * span >= count:
                 break
-            # negated heads (N, tile), 1 on the lead row; negation is additive
-            heads = scaled[lead, neg[1]][:, None]
-            for row, vals in zip(head_rows, tile_values):
-                if len(vals) > 1 or vals[0]:  # a zero row adds nothing
-                    heads = table_lookup(add_t, heads[:, :, None], scaled[row, vals].T[:, None, :])
-                    heads = heads.reshape(n_cols, -1)
-            for c0, b0 in product(range(0, heads.shape[1], per_call), range(0, span, cols)):
-                off = (h0 + c0) * span + b0
+            # negated heads (N, tile), 1 on the lead row; a zero row adds nothing
+            fixed = [scaled[r, neg[d], :, None] for r, d in zip(head_rows, digits) if d]
+            heads = _combos(add_t, [scaled[lead, neg[1], :, None], *fixed, *swept])
+            for c0, b0 in product(range(0, tile, per_call), range(0, span, cols)):
+                off = (i * tile + c0) * span + b0
                 if off >= count:
                     break
                 weights = _weights(block[:, b0 : b0 + cols], heads[:, c0 : c0 + per_call], acc)
@@ -198,7 +194,6 @@ def exhaustive_scan(scaled, add_t, sub_t, q, max_messages):
                 j = int(weights.argmin())
                 if int(weights[j]) < best_w:
                     best_w, best_idx = int(weights[j]), base + off + j
-            h0 += heads.shape[1]
         base += q**free
     return best_w, best_idx
 
@@ -220,7 +215,7 @@ def isd_level_scan(scaled, add_t, sub_t, supports):
         weights = np.count_nonzero(scaled[supports[:, 0], 1], axis=1)
         return w + weights, np.zeros(n_sup, dtype=np.int64)
     rows = np.ascontiguousarray(scaled[:, 1:].transpose(2, 0, 1))  # (N, k, q-1)
-    neg_rows = sub_t[0][rows]
+    neg = sub_t[0, 1:].astype(np.intp) - 1  # rows[..., neg[v-1]] = -(v g)
     # suffix = the last s rows of a support: a row pair when the table of
     # every pair's value patterns is small, else the last row alone;
     # suffixes[:, i] holds the value patterns of the i-th s-subset of
@@ -228,8 +223,7 @@ def isd_level_scan(scaled, add_t, sub_t, supports):
     r1, r2 = np.triu_indices(k, 1)  # row pairs in combinations order
     if w >= 3 and len(r1) * (q - 1) ** 2 * n_cols <= _STEP_BYTES:
         s = 2
-        suffixes = table_lookup(add_t, rows[:, r1, :, None], rows[:, r2, None, :])
-        suffixes = suffixes.reshape(n_cols, len(r1), -1)
+        suffixes = _combos(add_t, [rows[:, r1], rows[:, r2]])
     else:
         s = 1
         suffixes = rows
@@ -250,21 +244,17 @@ def isd_level_scan(scaled, add_t, sub_t, supports):
         batch = grouped[lo : lo + count : m]  # the prefixes ending at row a
         lo += count
         block = suffixes[:, -m:].reshape(n_cols, m * n_pat)
-        # tiles of whole prefixes, or of equal parts of one prefix, whose
+        # tiles of whole prefixes, or of `step` heads of one prefix, whose
         # comparisons fit in _STEP_BYTES bytes
         step = max(1, _STEP_BYTES // block.size)
         n_grp = max(1, step // n_head)
-        parts = -(-n_head // step)
-        step = -(-n_head // parts)
         for g0 in range(0, len(batch), n_grp):
             # negated heads (N, prefixes, heads), 1 on the first row and every
-            # pattern after; negation is additive, so add the negated rows
+            # pattern after; -(v g) = (-v) g
             pre = batch[g0 : g0 + n_grp]
             n_pre = len(pre)
-            heads = neg_rows[:, pre[:, 0], :1]
-            for i in range(1, pre.shape[1]):
-                heads = table_lookup(add_t, heads[:, :, :, None], neg_rows[:, pre[:, i], None, :])
-                heads = heads.reshape(n_cols, n_pre, -1)
+            tables = [rows[:, pre[:, i, None], neg] for i in range(1, pre.shape[1])]
+            heads = _combos(add_t, [rows[:, pre[:, :1], neg[0]], *tables])
             for h0 in range(0, n_head, step):
                 tile = heads[:, :, h0 : h0 + step].reshape(n_cols, -1)
                 weights = _weights(block, tile, acc)
@@ -274,7 +264,7 @@ def isd_level_scan(scaled, add_t, sub_t, supports):
                 weights = weights.reshape(n_pre, m, -1)
                 wmin = weights.min(axis=2)
                 j = h0 * n_pat + weights.argmin(axis=2)
-                if h0:  # a later part of the same prefixes
+                if h0:  # a later tile of the same prefix
                     better = wmin < best_w
                     best_w = np.where(better, wmin, best_w)
                     best_j = np.where(better, j, best_j)

@@ -241,6 +241,24 @@ def test_scaled_table_over_the_cap_is_one_error_line(capsys, tmp_path):
     assert err == "error: scaled-row table of k x q x N = 202000000 bytes exceeds the cap 33554432\n"
 
 
+def test_bounding_box_over_the_cap_is_one_error_line(capsys, tmp_path):
+    path = tmp_path / "simplex.json"
+    path.write_text(json.dumps({"n": 3, "vertices": [[0, 0, 0], [3000, 0, 0], [0, 3000, 0], [0, 0, 3000]]}))
+    argv = ["build", "--field", "5", "--allow-outside-cube", "--polytope", str(path)]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == "error: bounding box of 27027009001 points exceeds the cap 16777216\n", err
+
+
+def test_tall_generator_build_exits_0(capsys, tmp_path):
+    path = tmp_path / "segment.json"
+    path.write_text(json.dumps({"n": 1, "vertices": [[0], [100000]]}))
+    argv = ["build", "--field", "3", "--allow-outside-cube", "--polytope", str(path)]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == "q=3 n=1 k=2 N=2"
+
+
 def test_examples_golden_lines(capsys):
     code, out, _ = run_cli(capsys, ["examples"])
     assert code == 0

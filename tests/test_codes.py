@@ -136,6 +136,22 @@ def test_torus_over_the_cap_is_refused_before_lattice_points():
     assert "lattice_points" not in vars(big)
 
 
+def test_bounding_box_over_the_cap_is_refused_before_lattice_points():
+    # outside the cube: a box of 3001^3 = 2.7e10 points over GF(5)
+    big = from_vertices(3, [(0, 0, 0), (3000, 0, 0), (0, 3000, 0), (0, 0, 3000)])
+    with pytest.raises(ValueError, match=r"^bounding box of 27027009001 points exceeds the cap"):
+        build_code(big, make_field(5), allow_outside_cube=True)
+    assert "lattice_points" not in vars(big)
+
+
+def test_tall_generator_is_ranked():
+    # 100,001 monomials on N = 2 columns: k is the rank of a tall generator
+    seg = from_vertices(1, [(0,), (100000,)])
+    code = build_code(seg, make_field(3), allow_outside_cube=True)
+    assert code.generator.shape == (100001, 2)
+    assert code.k == 2
+
+
 def test_generator_at_the_cap_is_built(monkeypatch):
     monkeypatch.setattr(codes_module, "GENERATOR_CAP", 6 * 16)
     assert triangle_code().generator.shape == (6, 16)

@@ -364,6 +364,27 @@ def test_row_reduce_identical_to_reference_loop(q, block, monkeypatch):
             assert np.array_equal(gf_matvec(f, want_t[-1], mat), want_red[-1])
 
 
+@pytest.mark.parametrize("q", [3, 4, 9, 257])
+def test_tall_matrix_has_the_rank_of_its_transpose(q, monkeypatch):
+    """A tall matrix is eliminated as its transpose: no rows x rows transform."""
+    f = field_for_order(q)
+    rng = np.random.default_rng(q)
+    shapes = []
+    eliminate = gf_module._eliminate
+
+    def spy(ar, mat, blocks):
+        shapes.append(mat.shape)
+        return eliminate(ar, mat, blocks)
+
+    monkeypatch.setattr(gf_module, "_eliminate", spy)
+    for rows, cols in [(2, 1), (7, 2), (40, 3), (60, 5), (5, 5)]:
+        mat = rng.integers(0, q, size=(rows, cols))
+        mat[:, -1] = mat[:, 0]  # rank-deficient when cols > 1
+        want = len(reference_row_reduce(f, mat)[2])
+        assert gf_rank(f, mat) == gf_rank(f, mat.T) == want
+    assert all(r <= c for r, c in shapes), shapes
+
+
 def reference_log_tables(spec):
     """exp and log by repeated multiplication with the schoolbook product."""
     modulus = list(spec.modulus)

@@ -370,8 +370,8 @@ def test_scaled_rows_are_scalar_products(p, m, k):
 
 # (p, m, k, columns, steps): every KERNEL_CASES entry at a random width,
 # plus N = 300 > 255, where the counts take two chunks, under steps that
-# give a block copy with two-value head runs and two heads per comparison,
-# and a view block compared column by column
+# give the last row as a view block with one swept head row and two heads
+# per comparison, and the same block compared three columns at a time
 EXHAUSTIVE_CASES = [
     pytest.param(p, m, k, None, (), id=f"{p}-{m}-{k}") for p, m, k in KERNEL_CASES
 ] + [pytest.param(5, 1, 5, 300, (3000, 1000), id="5-1-5-wide")]
@@ -392,6 +392,23 @@ def test_exhaustive_scan_matches_reference(p, m, k, n_cols, more_steps, monkeypa
         for max_messages in (total, total // 3 + 1, 1):
             got = kernels.exhaustive_scan(scaled, add_t, sub_t, q, max_messages)
             assert got == reference_min(scaled, add_t, messages[:max_messages]), step
+
+
+@pytest.mark.parametrize("sizes", [(3,), (3, 1), (3, 1, 4)], ids=["1", "2", "3"])
+@pytest.mark.parametrize("batch", [(), (4,)], ids=["plain", "batch"])
+def test_combos_is_product_order(sizes, batch):
+    """Column c of _combos is the sum picked by the c-th itertools.product tuple."""
+    field = make_field(3, 2)
+    add_t, _ = field.kernel_tables()
+    rng = np.random.default_rng(len(sizes))
+    tables = [rng.integers(0, field.q, size=(5, *batch, v), dtype=np.uint8) for v in sizes]
+    got = kernels._combos(add_t, tables)
+    assert got.shape == (5, *batch, np.prod(sizes))
+    for c, picks in enumerate(itertools.product(*map(range, sizes))):
+        want = tables[0][..., picks[0]]
+        for table, i in zip(tables[1:], picks[1:]):
+            want = field.add_arrays(want, table[..., i])
+        assert np.array_equal(got[..., c], want), picks
 
 
 @pytest.mark.parametrize("n", [1, 254, 255, 256, 510, 511, 600])
