@@ -11,13 +11,21 @@ loops are table lookups.
 Matrix arithmetic
 -----------------
 `gf_matmul`, `gf_matvec`, `row_reduce` and `gf_rank` share one dispatch
-rule: for q <= KERNEL_FIELD_CAP elements are uint8 codes and every sum,
-difference and product is a lookup in the dense q x q tables of
-`FieldSpec.kernel_tables` and `FieldSpec.mul_table` (sums and differences
-are XOR when p = 2); above the cap they are int64 through
-`add_arrays`/`sub_arrays`/`mul_arrays`. A matrix product is a loop over the
+rule: for q <= KERNEL_FIELD_CAP elements are uint8 codes and every sum and
+product is a lookup in the dense q x q tables of `FieldSpec.kernel_tables`
+and `FieldSpec.mul_table` (sums are XOR when p = 2); above the cap they are
+int64 through `add_arrays`/`mul_arrays`. A matrix product is a loop over the
 inner index adding outer products, each one vectorised over the whole
 output.
+
+Nothing subtracts. The canonical code of -1 is p - 1, whose digits are
+(p - 1, 0, ..., 0): the constant polynomial p - 1 = -1 of GF(p). So
+-v = (p - 1) * v for every element v, and elimination writes
+row_i - f_i row_r as row_i + (-f_i) row_r.
+
+Products have one rule for every q, `FieldSpec.mul_arrays`: one antilog
+lookup at log a + log b, where zero has a sentinel log (the soundness
+argument is in its docstring); `mul_table` is built from it.
 
 Lazy blocked elimination (soundness)
 ------------------------------------
@@ -147,7 +155,6 @@ class FieldSpec:
         self.generator = self._find_generator()
         self._build_log_tables()
         self._add_u8 = None
-        self._sub_u8 = None
         self._mul_u8 = None
 
     # -- construction internals
@@ -210,10 +217,12 @@ class FieldSpec:
             c = self._poly_mul(c, c)
         if self._poly_mul(int(exp[-1]), self.generator) != 1:
             raise AssertionError("generator order mismatch")
-        log = np.zeros(self.q, dtype=np.int64)
+        log = np.full(self.q, 2 * n, dtype=np.int64)  # log[0]: the sentinel
         log[exp] = np.arange(n, dtype=np.int64)
         self.exp = exp
         self.log = log
+        zeros = np.zeros(2 * n + 1, dtype=np.int64)
+        self._antilog = np.concatenate([exp, exp, zeros])  # see mul_arrays
 
     # -- identity / display
 
@@ -239,9 +248,7 @@ class FieldSpec:
         return int(self.add_arrays(a, b))
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return int(self.exp[(self.log[a] + self.log[b]) % (self.q - 1)])
+        return int(self.mul_arrays(a, b))
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -262,28 +269,16 @@ class FieldSpec:
             out += ((a // pw + b // pw) % self.p) * pw
         return out
 
-    def neg_arrays(self, a) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        if self.m == 1:
-            return (-a) % self.p
-        if self.p == 2:
-            return a.copy()
-        out = np.zeros(a.shape, dtype=np.int64)
-        for pw in self._pw:
-            out += ((-(a // pw)) % self.p) * pw
-        return out
-
-    def sub_arrays(self, a, b) -> np.ndarray:
-        return self.add_arrays(a, self.neg_arrays(b))
-
     def mul_arrays(self, a, b) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        mask = (a != 0) & (b != 0)
-        la = self.log[np.where(a != 0, a, 1)]
-        lb = self.log[np.where(b != 0, b, 1)]
-        vals = self.exp[(la + lb) % (self.q - 1)]
-        return np.where(mask, vals, 0)
+        """a * b = _antilog[log a + log b], with no test for zero.
+
+        _antilog is [exp, exp, 2(q-1) + 1 zeros]. Nonzero logs lie in
+        [0, q-2], so the sum for two nonzero factors is at most 2q - 4 and
+        indexes exp twice over: _antilog[i] = g^(i mod (q-1)). A zero factor
+        has the sentinel log 2(q-1), so the sum lies in [2(q-1), 4(q-1)],
+        where _antilog is 0.
+        """
+        return self._antilog[self.log[a] + self.log[b]]
 
     def _table(self, op) -> np.ndarray:
         if self.q > KERNEL_FIELD_CAP:
@@ -294,11 +289,12 @@ class FieldSpec:
         return op(col[:, None], col[None, :]).astype(np.uint8)
 
     def kernel_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dense (q, q) uint8 add and sub tables (search kernels, matrix arithmetic)."""
+        """(add_t, neg): the dense (q, q) uint8 addition table and the uint8
+        negation map neg[v] = -v, the row of -1 = p - 1 in `mul_table`
+        (search kernels, matrix arithmetic)."""
         if self._add_u8 is None:
             self._add_u8 = self._table(self.add_arrays)
-            self._sub_u8 = self._table(self.sub_arrays)
-        return self._add_u8, self._sub_u8
+        return self._add_u8, self.mul_table()[self.p - 1]
 
     def mul_table(self) -> np.ndarray:
         """Dense (q, q) uint8 multiplication table; q <= KERNEL_FIELD_CAP."""
@@ -405,7 +401,7 @@ class _Arith:
         self.spec = spec
         self.tables = spec.q <= KERNEL_FIELD_CAP
         if self.tables:
-            self._add, self._sub = spec.kernel_tables()
+            self._add = spec.kernel_tables()[0]
             self._mul = spec.mul_table()
         self.dtype = np.uint8 if self.tables else np.int64
 
@@ -416,11 +412,6 @@ class _Arith:
         if not self.tables:
             return self.spec.add_arrays(a, b)
         return a ^ b if self.spec.p == 2 else table_lookup(self._add, a, b)
-
-    def sub(self, a, b) -> np.ndarray:
-        if not self.tables:
-            return self.spec.sub_arrays(a, b)
-        return a ^ b if self.spec.p == 2 else table_lookup(self._sub, a, b)
 
     def scale(self, s: int, row) -> np.ndarray:
         """s * row for one field element s."""
@@ -482,8 +473,9 @@ def _eliminate(ar: _Arith, mat: np.ndarray, blocks):
             f[r] = 0
             hit = np.flatnonzero(f)
             if hit.size:
-                x[hit, rest] = ar.sub(x[hit, rest], ar.outer(f[hit], x[r, rest]))
-                t[hit] = ar.sub(t[hit], ar.outer(f[hit], t[r]))
+                neg_f = ar.scale(ar.spec.p - 1, f[hit])  # -f = (p - 1) f
+                x[hit, rest] = ar.add(x[hit, rest], ar.outer(neg_f, x[r, rest]))
+                t[hit] = ar.add(t[hit], ar.outer(neg_f, t[r]))
             pivots.append(range(cols)[block][j])
             r += 1
             if r == rows:

@@ -12,8 +12,10 @@ additive inverse of h_t in the additive group of GF(p^m). So
 one uint8 comparison of the block against the negated head -h followed by
 a sum over symbols. The identity uses nothing but the group law, so it is
 exact over every field the kernels accept (q <= 256, any p and m) and does
-no field arithmetic. The addition table `add_t` is used only to build the
-blocks and the heads, which hold a small fraction of the symbols compared.
+no field arithmetic. The kernels read two maps of `FieldSpec.kernel_tables`:
+the addition table `add_t`, which builds the blocks and the heads (a small
+fraction of the symbols compared), and the negation map `neg`,
+neg[v] = -v, which picks the rows of `scaled` that the negated heads sum.
 Blocks and heads are stored symbol-major, (N, rows), so the sum over
 symbols adds contiguous planes.
 
@@ -101,9 +103,12 @@ _STEP_BYTES = 1 << 20
 
 
 def scaled_rows(spec, generator: np.ndarray) -> np.ndarray:
-    """(k, q, N) uint8 table: scaled[i, v, :] = v * generator[i, :] over GF(q)."""
-    table = np.take(spec.mul_table(), generator, axis=1)  # (q, k, N)
-    return np.ascontiguousarray(table.transpose(1, 0, 2))
+    """(k, q, N) uint8 table: scaled[i, v, :] = v * generator[i, :] over GF(q).
+
+    A transposed view of the (q, k, N) lookup, no copy: each scaled[i, v]
+    row is still contiguous.
+    """
+    return np.take(spec.mul_table(), generator, axis=1).transpose(1, 0, 2)
 
 
 def _combos(add_t, tables):
@@ -145,14 +150,13 @@ def _weights(block, neg_heads, acc):
     return weights.T if flip else weights
 
 
-def exhaustive_scan(scaled, add_t, sub_t, q, max_messages):
+def exhaustive_scan(scaled, add_t, neg, q, max_messages):
     """Minimum weight over the first max_messages normalized messages.
 
     Returns (weight, enumeration_index); the index is the first one attaining
     the minimum.
     """
     k, _, n_cols = scaled.shape
-    neg = sub_t[0]
     acc = np.min_scalar_type(n_cols)
     fit = 0  # the most rows whose digit combinations fit _STEP_BYTES
     while q ** (fit + 1) * n_cols <= _STEP_BYTES:
@@ -198,7 +202,7 @@ def exhaustive_scan(scaled, add_t, sub_t, q, max_messages):
     return best_w, best_idx
 
 
-def isd_level_scan(scaled, add_t, sub_t, supports):
+def isd_level_scan(scaled, add_t, neg, supports):
     """Per-support minimum weight over all nonzero value patterns.
 
     `scaled` holds the rows of a systematic basis on the non-pivot columns
@@ -215,7 +219,7 @@ def isd_level_scan(scaled, add_t, sub_t, supports):
         weights = np.count_nonzero(scaled[supports[:, 0], 1], axis=1)
         return w + weights, np.zeros(n_sup, dtype=np.int64)
     rows = np.ascontiguousarray(scaled[:, 1:].transpose(2, 0, 1))  # (N, k, q-1)
-    neg = sub_t[0, 1:].astype(np.intp) - 1  # rows[..., neg[v-1]] = -(v g)
+    neg_cols = neg[1:].astype(np.intp) - 1  # rows[..., neg_cols[v-1]] = -(v g)
     # suffix = the last s rows of a support: a row pair when the table of
     # every pair's value patterns is small, else the last row alone;
     # suffixes[:, i] holds the value patterns of the i-th s-subset of
@@ -253,8 +257,8 @@ def isd_level_scan(scaled, add_t, sub_t, supports):
             # pattern after; -(v g) = (-v) g
             pre = batch[g0 : g0 + n_grp]
             n_pre = len(pre)
-            tables = [rows[:, pre[:, i, None], neg] for i in range(1, pre.shape[1])]
-            heads = _combos(add_t, [rows[:, pre[:, :1], neg[0]], *tables])
+            tables = [rows[:, pre[:, i, None], neg_cols] for i in range(1, pre.shape[1])]
+            heads = _combos(add_t, [rows[:, pre[:, :1], neg_cols[0]], *tables])
             for h0 in range(0, n_head, step):
                 tile = heads[:, :, h0 : h0 + step].reshape(n_cols, -1)
                 weights = _weights(block, tile, acc)

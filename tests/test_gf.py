@@ -156,7 +156,7 @@ def test_field_axioms_exhaustive_small(p, m):
     for a, b in itertools.product(elems, repeat=2):
         assert f.add(a, b) == f.add(b, a)
         assert f.mul(a, b) == f.mul(b, a)
-        assert f.add(a, int(f.neg_arrays(a))) == 0
+        assert f.add(a, f.mul(f.p - 1, a)) == 0  # -1 = p - 1
         if b:
             assert f.mul(b, f.inv(b)) == 1
     for a, b, c in itertools.product(elems, repeat=3):
@@ -184,21 +184,18 @@ def test_array_ops_match_scalar_ops():
         b = np.tile(np.arange(f.q), f.q)
         add = f.add_arrays(a, b)
         mul = f.mul_arrays(a, b)
-        sub = f.sub_arrays(a, b)
         for i in range(f.q * f.q):
             assert add[i] == f.add(int(a[i]), int(b[i]))
             assert mul[i] == f.mul(int(a[i]), int(b[i]))
-            assert f.add(int(sub[i]), int(b[i])) == a[i]
 
 
 def test_kernel_tables_consistent():
     f = make_field(2, 3)
-    add_t, sub_t = f.kernel_tables()
+    add_t, _ = f.kernel_tables()
     assert add_t.dtype == np.uint8
     for a in range(8):
         for b in range(8):
             assert add_t[a, b] == f.add(a, b)
-            assert f.add(sub_t[a, b], b) == a
     with pytest.raises(ValueError, match="kernels"):
         make_field(2, 9).kernel_tables()
 
@@ -295,6 +292,15 @@ def test_row_reduce_and_rank():
         assert np.array_equal(gf_matvec(f, t[i], mat), red[i])
 
 
+def digit_sub(spec, a, b):
+    """a - b digit by digit: (a_i - b_i) mod p for each base-p digit."""
+    out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
+    for i in range(spec.m):
+        pw = spec.p**i
+        out += (a // pw % spec.p - b // pw % spec.p) % spec.p * pw
+    return out
+
+
 def reference_row_reduce(spec, mat):
     """The plain Gauss-Jordan loop, one column and one row at a time."""
     m = np.array(mat, dtype=np.int64)
@@ -316,8 +322,8 @@ def reference_row_reduce(spec, mat):
         for i in range(rows):
             f = int(m[i, c])
             if i != r and f:
-                m[i] = spec.sub_arrays(m[i], spec.mul_arrays(f, m[r]))
-                t[i] = spec.sub_arrays(t[i], spec.mul_arrays(f, t[r]))
+                m[i] = digit_sub(spec, m[i], spec.mul_arrays(f, m[r]))
+                t[i] = digit_sub(spec, t[i], spec.mul_arrays(f, t[r]))
         pivots.append(c)
         r += 1
         if r == rows:
@@ -451,7 +457,7 @@ def test_field_tables_match_scalar_reference(q):
     exp, log = reference_log_tables(f)
     assert f.exp.tolist() == exp
     assert all(f.log[v] == i for v, i in log.items())
-    add_t, sub_t = f.kernel_tables()
+    add_t, _ = f.kernel_tables()
     mul_t = f.mul_table()
     assert mul_t.dtype == np.uint8
     a, b = np.divmod(np.arange(q * q), q)
@@ -459,6 +465,36 @@ def test_field_tables_match_scalar_reference(q):
     assert np.array_equal(add_t.ravel(), f.add_arrays(a, b))
     for x in range(1, q):
         assert f.mul(x, f.inv(x)) == 1
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_TO_256)
+def test_kernel_negation_map(q):
+    add_t, neg = field_for_order(q).kernel_tables()
+    v = np.arange(q)
+    assert neg.dtype == np.uint8
+    assert not add_t[v, neg[v]].any()
+    assert np.array_equal(neg[neg[v]], v)
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (257, 1), (3, 6), (2, 16)])
+def test_products_with_zero_factors_match_schoolbook(p, m):
+    """The zero-sentinel log: zeros in either operand and in both, against
+    the schoolbook product, on the int64 path above KERNEL_FIELD_CAP too."""
+    f = make_field(p, m)
+    rng = random.Random(p * 100 + m)
+    nonzero = range(1, f.q) if f.q <= 16 else [1, f.q - 1, *rng.sample(range(2, f.q - 1), 30)]
+    vals = [0, *nonzero]
+    a, b = (np.array(x) for x in zip(*itertools.product(vals, repeat=2)))
+
+    def digits(v):
+        return [v // p**i % p for i in range(m)]
+
+    want = [
+        sum(c * p**i for i, c in enumerate(poly_mul_mod(digits(x), digits(y), list(f.modulus), p)))
+        for x, y in zip(a.tolist(), b.tolist())
+    ]
+    assert f.mul_arrays(a, b).tolist() == want
+    assert [f.mul(x, y) for x, y in zip(a.tolist(), b.tolist())] == want
 
 
 def test_field_tables_spot_checks_gf_2_16():

@@ -4,6 +4,7 @@ The kernels are checked against one plain reference loop that sums each
 message's codeword row by row through the addition table.
 """
 
+import inspect
 import itertools
 import random
 from math import comb
@@ -368,6 +369,20 @@ def test_scaled_rows_are_scalar_products(p, m, k):
         assert scaled[i, v, t] == field.mul(v, int(generator[i, t]))
 
 
+def test_kernel_signatures_keep_the_benchmark_bindings():
+    """The benchmark tracer binds kernel arguments by name and reads
+    scaled.shape[1:] as (q, N); a rename would surface only as a crash in a
+    traced run."""
+    def params(fn):
+        return set(inspect.signature(fn).parameters)
+
+    assert {"scaled", "q", "max_messages"} <= params(kernels.exhaustive_scan)
+    assert {"scaled", "supports"} <= params(kernels.isd_level_scan)
+    field = make_field(3, 2)
+    generator = np.arange(2 * 5).reshape(2, 5) % field.q
+    assert kernels.scaled_rows(field, generator).shape == (2, field.q, 5)
+
+
 # (p, m, k, columns, steps): every KERNEL_CASES entry at a random width,
 # plus N = 300 > 255, where the counts take two chunks, under steps that
 # give the last row as a view block with one swept head row and two heads
@@ -381,7 +396,7 @@ EXHAUSTIVE_CASES = [
 def test_exhaustive_scan_matches_reference(p, m, k, n_cols, more_steps, monkeypatch):
     field = make_field(p, m)
     q = field.q
-    add_t, sub_t = field.kernel_tables()
+    add_t, neg = field.kernel_tables()
     scaled = random_scaled(field, k, seed=q, n_cols=n_cols)
     messages = list(normalized_messages(k, q))
     total = len(messages)
@@ -390,7 +405,7 @@ def test_exhaustive_scan_matches_reference(p, m, k, n_cols, more_steps, monkeypa
     for step in (kernels._STEP_BYTES, 1) + more_steps:
         monkeypatch.setattr(kernels, "_STEP_BYTES", step)
         for max_messages in (total, total // 3 + 1, 1):
-            got = kernels.exhaustive_scan(scaled, add_t, sub_t, q, max_messages)
+            got = kernels.exhaustive_scan(scaled, add_t, neg, q, max_messages)
             assert got == reference_min(scaled, add_t, messages[:max_messages]), step
 
 
@@ -434,7 +449,7 @@ def test_exhaustive_scan_tables_fit_the_step(step, monkeypatch):
     """No block or head table that the scan builds exceeds max(step, N) bytes."""
     field = make_field(5)
     q, k, n_cols = field.q, 5, 300
-    add_t, sub_t = field.kernel_tables()
+    add_t, neg = field.kernel_tables()
     scaled = random_scaled(field, k, seed=q, n_cols=n_cols)
     sizes = []
     lookup = kernels.table_lookup
@@ -446,7 +461,7 @@ def test_exhaustive_scan_tables_fit_the_step(step, monkeypatch):
 
     monkeypatch.setattr(kernels, "_STEP_BYTES", step)
     monkeypatch.setattr(kernels, "table_lookup", spy)
-    kernels.exhaustive_scan(scaled, add_t, sub_t, q, (q**k - 1) // (q - 1))
+    kernels.exhaustive_scan(scaled, add_t, neg, q, (q**k - 1) // (q - 1))
     assert sizes and max(sizes) <= max(step, n_cols), sizes
 
 
@@ -483,7 +498,7 @@ ISD_CASES = [pytest.param(p, m, k, None, None, id=f"{p}-{m}-{k}") for p, m, k in
 def test_isd_level_scan_matches_reference(p, m, k, n_cols, split_step, monkeypatch):
     field = make_field(p, m)
     q = field.q
-    add_t, sub_t = field.kernel_tables()
+    add_t, neg = field.kernel_tables()
     scaled = random_scaled(field, k, seed=q + 1, n_cols=n_cols)
     levels = []
     for level in range(1, k + 1):
@@ -497,7 +512,7 @@ def test_isd_level_scan_matches_reference(p, m, k, n_cols, split_step, monkeypat
     for step in steps:
         monkeypatch.setattr(kernels, "_STEP_BYTES", step)
         for supports, ref in levels:
-            out_w, out_idx = kernels.isd_level_scan(scaled, add_t, sub_t, np.array(supports))
+            out_w, out_idx = kernels.isd_level_scan(scaled, add_t, neg, np.array(supports))
             # the support rows are the pivot columns each message hits
             want = [(w + len(s), j) for s, (w, j) in zip(supports, ref)]
             got = list(zip(out_w.tolist(), out_idx.tolist()))
@@ -514,18 +529,18 @@ def test_isd_level_scan_matches_reference(p, m, k, n_cols, split_step, monkeypat
 
         monkeypatch.setattr(kernels, "_STEP_BYTES", split_step)
         monkeypatch.setattr(kernels, "_weights", spy)
-        kernels.isd_level_scan(scaled, add_t, sub_t, np.array([range(k)]))
+        kernels.isd_level_scan(scaled, add_t, neg, np.array([range(k)]))
         assert len(tiles) > 1 and sum(tiles) == (q - 1) ** (k - 2), tiles
 
 
 def test_isd_level_scan_weight_beyond_accumulator():
     """N' = 255 fits the uint8 accumulator; 255 plus the pivots does not."""
     field = make_field(5)
-    add_t, sub_t = field.kernel_tables()
+    add_t, neg = field.kernel_tables()
     generator = np.zeros((2, 255), dtype=np.int64)
     generator[0] = 1  # every message on rows {0, 1} is nonzero everywhere
     scaled = kernels.scaled_rows(field, generator)
-    out_w, out_idx = kernels.isd_level_scan(scaled, add_t, sub_t, np.array([(0, 1)]))
+    out_w, out_idx = kernels.isd_level_scan(scaled, add_t, neg, np.array([(0, 1)]))
     assert (out_w.tolist(), out_idx.tolist()) == ([257], [0])
 
 
