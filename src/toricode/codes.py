@@ -56,10 +56,6 @@ class Codeword:
     def weight(self) -> int:
         return int(np.count_nonzero(self.values))
 
-    @property
-    def zero_count(self) -> int:
-        return int(self.values.size - np.count_nonzero(self.values))
-
 
 def build_code(
     polytope: LatticePolytope,

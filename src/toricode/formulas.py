@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from .codes import build_code
 from .gf import FieldSpec
@@ -62,14 +61,25 @@ def d_pyramid_dilate(d_kq: int, q: int) -> int:
     return (q - 1) * d_kq
 
 
-def d_double_pyramid(d_kq: int, q: int, contains_length2_segment: bool) -> int:
-    """Same (q-1) factor for the double pyramid; only proven when the base
-    contains a lattice segment of lattice length 2 (caller-asserted)."""
-    if not contains_length2_segment:
+def d_double_pyramid(d_base: int, q: int, base: LatticePolytope) -> int:
+    """d of the double pyramid over `base` from d_base = d(base): the
+    pyramid's (q-1) factor, proven when the base contains a lattice segment
+    of lattice length 2. That hypothesis is decided here: it holds iff two
+    distinct lattice points a, b of the base agree mod 2. Then b - a = 2v
+    for a lattice vector v, and [a, b] contains the length-2 segment
+    [a, a + 2v/g], g the gcd of v's entries; conversely the endpoints of a
+    length-2 segment [a, a + 2u] agree mod 2.
+
+    Without it only d(DPyr B) <= (q-1) d(B) holds: DPyr B contains the image
+    of Pyr B under the unimodular map x_{n+1} -> 1 - x_{n+1}, a larger
+    polytope gives a larger code, and d(Pyr B) = (q-1) d(B).
+    """
+    points = base.lattice_points
+    if len({tuple(c % 2 for c in v) for v in points}) == len(points):
         raise ValueError(
             "the double-pyramid formula requires a lattice segment of length 2 in the base"
         )
-    return (q - 1) * d_kq
+    return (q - 1) * d_base
 
 
 def d_pyramid_upper_bound(d_q: int, k: int, q: int) -> int:
@@ -221,11 +231,6 @@ def dim_recipe(recipe: ConstructionRecipe) -> int:
         return memo[i, t]
 
     return count(len(steps) - 1, 1)
-
-
-def dim_simplex_dilate(n: int, k: int) -> int:
-    """Lattice points of the k-dilated standard n-simplex."""
-    return comb(n + k, k)
 
 
 # ---------------------------------------------------------------------------

@@ -10,18 +10,18 @@ loops are table lookups.
 
 Matrix arithmetic
 -----------------
-`gf_matmul`, `gf_matvec`, `row_reduce` and `gf_rank` share one dispatch
-rule: for q <= KERNEL_FIELD_CAP elements are uint8 codes and every sum and
-product is a lookup in the dense q x q tables of `FieldSpec.kernel_tables`
-and `FieldSpec.mul_table` (sums are XOR when p = 2); above the cap they are
-int64 through `add_arrays`/`mul_arrays`. A matrix product is a loop over the
-inner index adding outer products, each one vectorised over the whole
-output.
+The matrix functions and the search kernels share one array arithmetic,
+`FieldSpec.arith`, the only code that adds, negates or multiplies uint8
+codes: for q <= KERNEL_FIELD_CAP elements are uint8 codes, a sum is XOR
+when p = 2 and a lookup in the dense q x q addition table otherwise, and a
+product is a lookup in `FieldSpec.mul_table`; above the cap they are int64
+through `add_arrays`/`mul_arrays`. A matrix product is a loop over the
+inner index adding outer products, each one vectorised over the whole output.
 
 Nothing subtracts. The canonical code of -1 is p - 1, whose digits are
 (p - 1, 0, ..., 0): the constant polynomial p - 1 = -1 of GF(p). So
--v = (p - 1) * v for every element v, and elimination writes
-row_i - f_i row_r as row_i + (-f_i) row_r.
+-v = (p - 1) * v for every element v, the arithmetic's one negation map
+`neg`, and elimination writes row_i - f_i row_r as row_i + (-f_i) row_r.
 
 Products have one rule for every q, `FieldSpec.mul_arrays`: one antilog
 lookup at log a + log b, where zero has a sentinel log (the soundness
@@ -65,6 +65,7 @@ natural order, since its pivots are a contract.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -154,7 +155,6 @@ class FieldSpec:
         self._pw = tuple(p**i for i in range(m))
         self.generator = self._find_generator()
         self._build_log_tables()
-        self._add_u8 = None
         self._mul_u8 = None
 
     # -- construction internals
@@ -288,19 +288,16 @@ class FieldSpec:
         col = np.arange(self.q, dtype=np.int64)
         return op(col[:, None], col[None, :]).astype(np.uint8)
 
-    def kernel_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """(add_t, neg): the dense (q, q) uint8 addition table and the uint8
-        negation map neg[v] = -v, the row of -1 = p - 1 in `mul_table`
-        (search kernels, matrix arithmetic)."""
-        if self._add_u8 is None:
-            self._add_u8 = self._table(self.add_arrays)
-        return self._add_u8, self.mul_table()[self.p - 1]
-
     def mul_table(self) -> np.ndarray:
         """Dense (q, q) uint8 multiplication table; q <= KERNEL_FIELD_CAP."""
         if self._mul_u8 is None:
             self._mul_u8 = self._table(self.mul_arrays)
         return self._mul_u8
+
+    @functools.cached_property
+    def arith(self) -> _Arith:
+        """The field's array arithmetic (matrix functions, search kernels)."""
+        return _Arith(self)
 
 
 _FIELD_CACHE: dict[tuple[int, int], FieldSpec] = {}
@@ -388,46 +385,50 @@ def torus_exponents(spec: FieldSpec, n: int) -> np.ndarray:
 _BLOCK_COLUMNS = 1024
 
 
-def table_lookup(table: np.ndarray, a, b) -> np.ndarray:
-    """table[a, b] for a dense (q, q) uint8 table: one lookup per element in
-    its flat view. The index a * q + b stays below 2^16 because q <= 256."""
-    return np.take(table.ravel(), a.astype(np.uint16) * table.shape[0] + b)
-
-
 class _Arith:
     """Array arithmetic over one field, by the module's one dispatch rule."""
 
     def __init__(self, spec: FieldSpec):
         self.spec = spec
         self.tables = spec.q <= KERNEL_FIELD_CAP
-        if self.tables:
-            self._add = spec.kernel_tables()[0]
-            self._mul = spec.mul_table()
         self.dtype = np.uint8 if self.tables else np.int64
+        # the negation map neg[v] = -v = (p - 1) v, row p - 1 of mul_table
+        self.neg = spec.mul_arrays(spec.p - 1, np.arange(spec.q)).astype(self.dtype)
+        if self.tables:
+            self._add = None if spec.p == 2 else spec._table(spec.add_arrays)
 
     def cast(self, a) -> np.ndarray:
         return np.asarray(a, dtype=self.dtype)
 
     def add(self, a, b) -> np.ndarray:
+        """a + b; with tables C-ordered whatever the operands' layout. For
+        odd q the uint16 index a * q + b (< 2^16) is widened to intp inside
+        `np.take`, about 11 bytes per output byte while it runs."""
         if not self.tables:
             return self.spec.add_arrays(a, b)
-        return a ^ b if self.spec.p == 2 else table_lookup(self._add, a, b)
+        if self._add is None:
+            return np.bitwise_xor(a, b, order="C")
+        return np.take(self._add.ravel(), a.astype(np.uint16) * self.spec.q + b)
 
     def scale(self, s: int, row) -> np.ndarray:
         """s * row for one field element s."""
         if not self.tables:
             return self.spec.mul_arrays(s, row)
-        return np.take(self._mul[s], row)
+        return np.take(self.spec.mul_table()[s], row)
+
+    def multiples(self, rows) -> np.ndarray:
+        """out[v, ...] = v * rows for every element v; q <= KERNEL_FIELD_CAP."""
+        return np.take(self.spec.mul_table(), rows, axis=1)
 
     def outer(self, f, row) -> np.ndarray:
         """out[i, t] = f[i] * row[t].
 
-        With tables: the row scaled by every field element (q x len(row)
-        lookups), then whole rows picked by f, a copy per row.
+        With tables: the row's multiples (q x len(row) lookups), then whole
+        rows picked by f, a copy per row.
         """
         if not self.tables:
             return self.spec.mul_arrays(f[:, None], row[None, :])
-        return np.take(self._mul, row, axis=1)[f]
+        return self.multiples(row)[f]
 
     def matmul(self, a, b) -> np.ndarray:
         """a @ b, adding the outer product of each nonzero column of a with
@@ -469,13 +470,12 @@ def _eliminate(ar: _Arith, mat: np.ndarray, blocks):
             if s != 1:
                 x[r, rest] = ar.scale(s, x[r, rest])
                 t[r] = ar.scale(s, t[r])
-            f = x[:, j].copy()
+            f = ar.neg[x[:, j]]  # the negated factors, a copy
             f[r] = 0
             hit = np.flatnonzero(f)
             if hit.size:
-                neg_f = ar.scale(ar.spec.p - 1, f[hit])  # -f = (p - 1) f
-                x[hit, rest] = ar.add(x[hit, rest], ar.outer(neg_f, x[r, rest]))
-                t[hit] = ar.add(t[hit], ar.outer(neg_f, t[r]))
+                x[hit, rest] = ar.add(x[hit, rest], ar.outer(f[hit], x[r, rest]))
+                t[hit] = ar.add(t[hit], ar.outer(f[hit], t[r]))
             pivots.append(range(cols)[block][j])
             r += 1
             if r == rows:
@@ -491,7 +491,7 @@ def row_reduce(spec: FieldSpec, mat: np.ndarray):
     taken from left to right, each pivot on the first nonzero row at or
     below the current rank.
     """
-    ar = _Arith(spec)
+    ar = spec.arith
     mat = np.asarray(mat)
     cols = mat.shape[1]
     blocks = [slice(s, s + _BLOCK_COLUMNS) for s in range(0, cols, _BLOCK_COLUMNS)]
@@ -513,7 +513,7 @@ def gf_rank(spec: FieldSpec, mat: np.ndarray) -> int:
     while math.gcd(stride, cols) > 1:
         stride += 1
     blocks = [slice(b, None, stride) for b in range(min(stride, cols))]
-    _, pivots = _eliminate(_Arith(spec), mat, blocks)
+    _, pivots = _eliminate(spec.arith, mat, blocks)
     return len(pivots)
 
 
@@ -524,5 +524,5 @@ def gf_matvec(spec: FieldSpec, vec: np.ndarray, mat: np.ndarray) -> np.ndarray:
 
 def gf_matmul(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b over GF(q)."""
-    ar = _Arith(spec)
+    ar = spec.arith
     return ar.matmul(ar.cast(a), ar.cast(b)).astype(np.int64)

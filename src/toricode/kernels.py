@@ -12,12 +12,12 @@ additive inverse of h_t in the additive group of GF(p^m). So
 one uint8 comparison of the block against the negated head -h followed by
 a sum over symbols. The identity uses nothing but the group law, so it is
 exact over every field the kernels accept (q <= 256, any p and m) and does
-no field arithmetic. The kernels read two maps of `FieldSpec.kernel_tables`:
-the addition table `add_t`, which builds the blocks and the heads (a small
-fraction of the symbols compared), and the negation map `neg`,
-neg[v] = -v, which picks the rows of `scaled` that the negated heads sum.
-Blocks and heads are stored symbol-major, (N, rows), so the sum over
-symbols adds contiguous planes.
+no field arithmetic. The kernels take the field's one array arithmetic,
+`FieldSpec.arith` (`scaled` is its table of multiples), and read two parts
+of it: `add`, which builds the blocks and the heads (a small fraction of the
+symbols compared), and the negation map `neg`, neg[v] = -v, which picks the
+rows of `scaled` that the negated heads sum. Blocks and heads are stored
+symbol-major, (N, rows), so the sum over symbols adds contiguous planes.
 
 The count casts nothing: the comparison's bool array is read as uint8 (a
 view) and summed in uint8 over chunks of at most 255 symbols, so no chunk
@@ -43,7 +43,7 @@ sizes. `work_count` in `mindist` is computed from the message counts.
 Tables
 ------
 Every block, head and suffix table is a Cartesian sum of rows of `scaled`
-in product order, built by `_combos`, one `table_lookup` per row. Heads
+in product order, built by `_combos`, one `add` per row. Heads
 are built negated: negation is additive and -(v g) = (-v) g, so a negated
 head sums rows of `scaled` at negated values.
 
@@ -93,31 +93,31 @@ from math import comb
 
 import numpy as np
 
-from .gf import table_lookup
-
 # bytes of the uint8 tables and comparisons of one vectorised step: an
 # exhaustive block, head tile or comparison, an ISD head table, pair table
-# or comparison. A `table_lookup` also holds about 11 bytes of index per
-# output byte while it runs, so a table at the budget peaks near 11x it
+# or comparison. For odd q the `add` that builds a table also holds about
+# 11 bytes of index per output byte, so the table peaks near 11x the budget
+# while it is built; for q = 2^m the add is an XOR and holds no index
 _STEP_BYTES = 1 << 20
 
 
 def scaled_rows(spec, generator: np.ndarray) -> np.ndarray:
     """(k, q, N) uint8 table: scaled[i, v, :] = v * generator[i, :] over GF(q).
 
-    A transposed view of the (q, k, N) lookup, no copy: each scaled[i, v]
-    row is still contiguous.
+    A transposed view of the field's (q, k, N) multiples, no copy: each
+    scaled[i, v] row is still contiguous.
     """
-    return np.take(spec.mul_table(), generator, axis=1).transpose(1, 0, 2)
+    return spec.arith.multiples(generator).transpose(1, 0, 2)
 
 
-def _combos(add_t, tables):
+def _combos(ar, tables):
     """Every sum of one entry along the last axis of each table, the first
     table most significant (product order); leading axes are batch axes.
-    One table is returned as it is."""
+    One table is returned as it is. Each sum is C-ordered, so its reshape
+    is a view."""
     out = tables[0]
     for table in tables[1:]:
-        out = table_lookup(add_t, out[..., :, None], table[..., None, :])
+        out = ar.add(out[..., :, None], table[..., None, :])
         out = out.reshape(*out.shape[:-2], -1)
     return out
 
@@ -150,7 +150,7 @@ def _weights(block, neg_heads, acc):
     return weights.T if flip else weights
 
 
-def exhaustive_scan(scaled, add_t, neg, q, max_messages):
+def exhaustive_scan(scaled, ar, q, max_messages):
     """Minimum weight over the first max_messages normalized messages.
 
     Returns (weight, enumeration_index); the index is the first one attaining
@@ -165,7 +165,7 @@ def exhaustive_scan(scaled, add_t, neg, q, max_messages):
     # view of the last row when t = 1; a lead with f < t free rows uses its
     # first q^f columns, whose leading digits are 0
     t = max(1, min(k - 1, fit))
-    block = _combos(add_t, [row.T for row in scaled[k - t :]])
+    block = _combos(ar, [row.T for row in scaled[k - t :]])
     best_w, best_idx = n_cols + 1, -1
     base = 0
     for lead in range(k):
@@ -178,7 +178,7 @@ def exhaustive_scan(scaled, add_t, neg, q, max_messages):
         # and sweeps every value of the rest
         head_rows = range(lead + 1, k - t)
         n_fixed = max(0, len(head_rows) - fit)
-        swept = [scaled[r, neg].T for r in head_rows[n_fixed:]]  # -(v g) = (-v) g
+        swept = [scaled[r, ar.neg].T for r in head_rows[n_fixed:]]  # -(v g) = (-v) g
         tile = q ** len(swept)
         # block columns and heads per comparison within _STEP_BYTES
         cols = min(span, max(1, _STEP_BYTES // n_cols))
@@ -187,8 +187,8 @@ def exhaustive_scan(scaled, add_t, neg, q, max_messages):
             if i * tile * span >= count:
                 break
             # negated heads (N, tile), 1 on the lead row; a zero row adds nothing
-            fixed = [scaled[r, neg[d], :, None] for r, d in zip(head_rows, digits) if d]
-            heads = _combos(add_t, [scaled[lead, neg[1], :, None], *fixed, *swept])
+            fixed = [scaled[r, ar.neg[d], :, None] for r, d in zip(head_rows, digits) if d]
+            heads = _combos(ar, [scaled[lead, ar.neg[1], :, None], *fixed, *swept])
             for c0, b0 in product(range(0, tile, per_call), range(0, span, cols)):
                 off = (i * tile + c0) * span + b0
                 if off >= count:
@@ -202,7 +202,7 @@ def exhaustive_scan(scaled, add_t, neg, q, max_messages):
     return best_w, best_idx
 
 
-def isd_level_scan(scaled, add_t, neg, supports):
+def isd_level_scan(scaled, ar, supports):
     """Per-support minimum weight over all nonzero value patterns.
 
     `scaled` holds the rows of a systematic basis on the non-pivot columns
@@ -219,7 +219,7 @@ def isd_level_scan(scaled, add_t, neg, supports):
         weights = np.count_nonzero(scaled[supports[:, 0], 1], axis=1)
         return w + weights, np.zeros(n_sup, dtype=np.int64)
     rows = np.ascontiguousarray(scaled[:, 1:].transpose(2, 0, 1))  # (N, k, q-1)
-    neg_cols = neg[1:].astype(np.intp) - 1  # rows[..., neg_cols[v-1]] = -(v g)
+    neg_cols = ar.neg[1:].astype(np.intp) - 1  # rows[..., neg_cols[v-1]] = -(v g)
     # suffix = the last s rows of a support: a row pair when the table of
     # every pair's value patterns is small, else the last row alone;
     # suffixes[:, i] holds the value patterns of the i-th s-subset of
@@ -227,7 +227,7 @@ def isd_level_scan(scaled, add_t, neg, supports):
     r1, r2 = np.triu_indices(k, 1)  # row pairs in combinations order
     if w >= 3 and len(r1) * (q - 1) ** 2 * n_cols <= _STEP_BYTES:
         s = 2
-        suffixes = _combos(add_t, [rows[:, r1], rows[:, r2]])
+        suffixes = _combos(ar, [rows[:, r1], rows[:, r2]])
     else:
         s = 1
         suffixes = rows
@@ -258,7 +258,7 @@ def isd_level_scan(scaled, add_t, neg, supports):
             pre = batch[g0 : g0 + n_grp]
             n_pre = len(pre)
             tables = [rows[:, pre[:, i, None], neg_cols] for i in range(1, pre.shape[1])]
-            heads = _combos(add_t, [rows[:, pre[:, :1], neg_cols[0]], *tables])
+            heads = _combos(ar, [rows[:, pre[:, :1], neg_cols[0]], *tables])
             for h0 in range(0, n_head, step):
                 tile = heads[:, :, h0 : h0 + step].reshape(n_cols, -1)
                 weights = _weights(block, tile, acc)

@@ -70,8 +70,7 @@ def _prepare(code: ToricCode):
         raise ValueError(
             f"scaled-row table of k x q x N = {size} bytes exceeds the cap {SCALED_CAP}"
         )
-    add_t, neg = spec.kernel_tables()
-    return spec, add_t, neg
+    return spec
 
 
 def _decode_message(k: int, q: int, idx: int) -> np.ndarray:
@@ -119,7 +118,7 @@ def min_distance_exhaustive(
     prefix of the message order and is flagged non-exact (d is an upper
     bound).
     """
-    spec, add_t, neg = _prepare(code)
+    spec = _prepare(code)
     q = spec.q
     k = code.k
     n_block = code.block_length
@@ -130,7 +129,7 @@ def min_distance_exhaustive(
             f"budget {budget} cannot scan a single codeword of length {n_block}"
         )
     scaled = kernels.scaled_rows(spec, code.generator)
-    best_w, best_idx = kernels.exhaustive_scan(scaled, add_t, neg, q, max_messages)
+    best_w, best_idx = kernels.exhaustive_scan(scaled, spec.arith, q, max_messages)
     witness = _decode_message(k, q, best_idx)
     exact = max_messages == total
     return _checked_result(
@@ -182,7 +181,7 @@ def min_distance_isd(
     has at least w + 1 nonzeros on each of the N translates; summing over
     them counts each nonzero of c exactly k times, so k wt(c) >= N (w + 1).
     """
-    spec, add_t, neg = _prepare(code)
+    spec = _prepare(code)
     q = spec.q
     k = code.k
     n_block = code.block_length
@@ -205,7 +204,7 @@ def min_distance_isd(
         if (work + level_messages) * n_block > budget:
             break
         supports = np.array(list(combinations(range(k), level)), dtype=np.int64)
-        out_w, out_idx = kernels.isd_level_scan(scaled, add_t, neg, supports)
+        out_w, out_idx = kernels.isd_level_scan(scaled, spec.arith, supports)
         work += level_messages
         s_best = int(np.argmin(out_w))
         if int(out_w[s_best]) < ub:

@@ -443,10 +443,6 @@ class ConstructionRecipe:
         """0-based positions of segment steps (the index set I)."""
         return [i for i, s in enumerate(self.steps) if isinstance(s, Segment)]
 
-    def pyramid_positions(self) -> list[int]:
-        """0-based positions of pyramid-dilate steps (the index set J)."""
-        return [i for i, s in enumerate(self.steps) if isinstance(s, PyramidScale)]
-
 
 def realize_recipe(recipe: ConstructionRecipe) -> LatticePolytope:
     """Fold the steps left to right, starting from a point."""

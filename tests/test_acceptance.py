@@ -198,15 +198,19 @@ def test_criterion_07_pyramid_theorem():
            f"{len(checked)} instances")
 
 
-def _all_recipes():
-    firsts = [Segment(1), Segment(2)]
+def _all_recipes(n=3):
+    """Every recipe of at most n steps: a segment of length 1 or 2, then
+    segments of length 1 or 2 and pyramid scales 1 or 2, depth first."""
     extras = [Segment(1), Segment(2), PyramidScale(1), PyramidScale(2)]
-    for s1 in firsts:
-        yield ConstructionRecipe((s1,))
-        for s2 in extras:
-            yield ConstructionRecipe((s1, s2))
-            for s3 in extras:
-                yield ConstructionRecipe((s1, s2, s3))
+
+    def grow(steps):
+        yield ConstructionRecipe(steps)
+        if len(steps) < n:
+            for step in extras:
+                yield from grow(steps + (step,))
+
+    for first in (Segment(1), Segment(2)):
+        yield from grow((first,))
 
 
 def _recipe_label(recipe, q):
@@ -242,6 +246,24 @@ def test_criterion_08_mix_formula_vs_search():
     if capped:
         extra += f"; {len(capped)} capped at 2^31 work, bounds bracket the formula: {', '.join(capped)}"
     report(8, verified >= 40, dt, "recipe formula equals search on every feasible instance", extra)
+
+
+def test_next_dimension_recipe_grid_gf4():
+    """The paper's next dimension over a 2^m field: every valid n = 4 recipe
+    of criterion 8's step set over GF(4) is searched exactly under the
+    same cap, and search equals the formula."""
+    verified = 0
+    for recipe in _all_recipes(4):
+        if recipe.n < 4 or not recipe_valid_for(recipe, 4):
+            continue
+        poly = realize_recipe(recipe)
+        assert poly.fits_in_cube(4)
+        result = min_distance(build_code(poly, FIELDS[4]), budget=RECIPE_WORK_CAP)
+        label = _recipe_label(recipe, 4)
+        assert result.exact, label
+        assert result.d == d_recipe(recipe, 4), (label, result.d)
+        verified += 1
+    assert verified == 73
 
 
 def test_criterion_09_corollary_closed_forms():

@@ -22,7 +22,6 @@ from toricode.formulas import (
     dim_product,
     dim_pyramid_dilate,
     dim_recipe,
-    dim_simplex_dilate,
     params_report,
     recipe_valid_for,
 )
@@ -35,6 +34,7 @@ from toricode.polytopes import (
     box,
     cross_polytope,
     dilate,
+    double_pyramid,
     from_vertices,
     pyramid,
     realize_recipe,
@@ -82,15 +82,48 @@ def test_d_pyramid_dilate_matches_brute_force_simplex():
 
 def test_d_double_pyramid_requires_hypothesis():
     with pytest.raises(ValueError, match="length 2"):
-        d_double_pyramid(10, 5, contains_length2_segment=False)
-    assert d_double_pyramid(10, 5, contains_length2_segment=True) == 40
+        d_double_pyramid(10, 5, box([1]))
+    assert d_double_pyramid(10, 5, box([2])) == 40
 
 
 def test_d_double_pyramid_consistent_with_cross_chain():
     # cross_polytope(n) is an iterated double pyramid over [0, 2k]
     for q in (5, 7):
         base = q - 1 - 2  # d of k=1 segment [0,2]
-        assert d_double_pyramid(base, q, True) == d_cross(2, 1, q)
+        assert d_double_pyramid(base, q, box([2])) == d_cross(2, 1, q)
+
+
+# (base, has a length-2 segment, d of its double pyramid over GF(7)): bases
+# with the segment first, then bases without one
+DOUBLE_PYRAMID_BASES = [
+    pytest.param(lambda: box([2]), True, 24, id="segment2"),
+    pytest.param(lambda: box([3]), True, 18, id="segment3"),
+    pytest.param(lambda: dilate(standard_simplex(2), 2), True, 144, id="2simplex2"),
+    pytest.param(lambda: box([1, 2]), True, 120, id="rect1x2"),
+    pytest.param(lambda: box([1]), False, 24, id="segment1"),
+    pytest.param(lambda: box([1, 1]), False, 144, id="square"),
+    pytest.param(lambda: standard_simplex(2), False, 144, id="simplex2"),
+    pytest.param(lambda: from_vertices(2, [(0, 0), (2, 1), (1, 2)]), False, 144, id="thin-triangle"),
+]
+
+
+@pytest.mark.parametrize("base,segment,d7", DOUBLE_PYRAMID_BASES)
+def test_d_double_pyramid_against_search(base, segment, d7):
+    """Where the base holds a length-2 segment the formula equals search;
+    where it does not, the formula refuses and search stays at or below the
+    pyramid's (q-1) d(B) (for the simplex over GF(7), 144 < 180)."""
+    base = base()
+    for field in (make_field(5), make_field(7), make_field(2, 3), make_field(3, 2)):
+        q = field.q
+        d_base = brute_d(base, field)
+        d = brute_d(double_pyramid(base), field)
+        assert q != 7 or d == d7
+        if segment:
+            assert d_double_pyramid(d_base, q, base) == d, q
+        else:
+            with pytest.raises(ValueError, match="length 2"):
+                d_double_pyramid(d_base, q, base)
+            assert d <= (q - 1) * d_base, q
 
 
 def test_d_pyramid_upper_bound():
@@ -225,7 +258,7 @@ def test_dim_box_and_simplex():
     for n, k in [(2, 1), (2, 3), (3, 2)]:
         steps = [Segment(1)] + [PyramidScale(1)] * (n - 2) + [PyramidScale(k)]
         r = ConstructionRecipe(tuple(steps))
-        assert dim_recipe(r) == dim_simplex_dilate(n, k) == comb(n + k, k)
+        assert dim_recipe(r) == comb(n + k, k)
 
 
 def test_dim_recipe_matches_enumeration():

@@ -190,14 +190,15 @@ def test_array_ops_match_scalar_ops():
 
 
 def test_kernel_tables_consistent():
-    f = make_field(2, 3)
-    add_t, _ = f.kernel_tables()
-    assert add_t.dtype == np.uint8
-    for a in range(8):
-        for b in range(8):
-            assert add_t[a, b] == f.add(a, b)
+    for f in (make_field(2, 3), make_field(3, 2)):
+        codes = np.arange(f.q, dtype=np.uint8)
+        add = f.arith.add(codes[:, None], codes[None, :])
+        assert add.dtype == np.uint8
+        for a in range(f.q):
+            for b in range(f.q):
+                assert add[a, b] == f.add(a, b)
     with pytest.raises(ValueError, match="kernels"):
-        make_field(2, 9).kernel_tables()
+        make_field(2, 9).mul_table()
 
 
 # ---------------------------------------------------------------------------
@@ -457,23 +458,25 @@ def test_field_tables_match_scalar_reference(q):
     exp, log = reference_log_tables(f)
     assert f.exp.tolist() == exp
     assert all(f.log[v] == i for v, i in log.items())
-    add_t, _ = f.kernel_tables()
     mul_t = f.mul_table()
     assert mul_t.dtype == np.uint8
     a, b = np.divmod(np.arange(q * q), q)
     assert np.array_equal(mul_t.ravel(), f.mul_arrays(a, b))
-    assert np.array_equal(add_t.ravel(), f.add_arrays(a, b))
+    add = f.arith.add(a.astype(np.uint8), b.astype(np.uint8))
+    assert add.dtype == np.uint8 and np.array_equal(add, f.add_arrays(a, b))
     for x in range(1, q):
         assert f.mul(x, f.inv(x)) == 1
 
 
 @pytest.mark.parametrize("q", PRIME_POWERS_TO_256)
 def test_kernel_negation_map(q):
-    add_t, neg = field_for_order(q).kernel_tables()
-    v = np.arange(q)
-    assert neg.dtype == np.uint8
-    assert not add_t[v, neg[v]].any()
-    assert np.array_equal(neg[neg[v]], v)
+    f = field_for_order(q)
+    ar = f.arith
+    v = np.arange(q, dtype=np.uint8)
+    assert ar.neg.dtype == np.uint8
+    assert np.array_equal(ar.neg, f.mul_table()[f.p - 1])
+    assert not ar.add(v, ar.neg[v]).any()
+    assert np.array_equal(ar.neg[ar.neg[v]], v)
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (257, 1), (3, 6), (2, 16)])

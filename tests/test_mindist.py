@@ -1,7 +1,8 @@
 """Minimum distance search tests: exhaustive, information-set, kernels.
 
 The kernels are checked against one plain reference loop that sums each
-message's codeword row by row through the addition table.
+message's codeword row by row through a dense addition table built from
+`add_arrays`, apart from the kernels' arithmetic.
 """
 
 import inspect
@@ -12,6 +13,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from toricode import gf as gf_module
 from toricode import kernels, mindist
 from toricode.codes import build_code, evaluate
 from toricode.gf import field_for_order, make_field
@@ -61,6 +63,12 @@ def support_patterns(support, k, q):
         yield msg
 
 
+def add_table(field):
+    """Dense (q, q) uint8 addition table from the int64 `add_arrays`."""
+    a, b = np.divmod(np.arange(field.q**2), field.q)
+    return field.add_arrays(a, b).astype(np.uint8).reshape(field.q, field.q)
+
+
 def reference_min(scaled, add_t, messages):
     """(weight, first index) of the lightest codeword, summed row by row."""
     best = None
@@ -77,7 +85,7 @@ def reference_min(scaled, add_t, messages):
 
 def reference_distance(code):
     """(d, first message of weight d) over every normalized message."""
-    add_t, _ = code.field.kernel_tables()
+    add_t = add_table(code.field)
     messages = list(normalized_messages(code.k, code.field.q))
     scaled = kernels.scaled_rows(code.field, code.generator)
     d, idx = reference_min(scaled, add_t, messages)
@@ -396,7 +404,7 @@ EXHAUSTIVE_CASES = [
 def test_exhaustive_scan_matches_reference(p, m, k, n_cols, more_steps, monkeypatch):
     field = make_field(p, m)
     q = field.q
-    add_t, neg = field.kernel_tables()
+    add_t = add_table(field)
     scaled = random_scaled(field, k, seed=q, n_cols=n_cols)
     messages = list(normalized_messages(k, q))
     total = len(messages)
@@ -405,25 +413,40 @@ def test_exhaustive_scan_matches_reference(p, m, k, n_cols, more_steps, monkeypa
     for step in (kernels._STEP_BYTES, 1) + more_steps:
         monkeypatch.setattr(kernels, "_STEP_BYTES", step)
         for max_messages in (total, total // 3 + 1, 1):
-            got = kernels.exhaustive_scan(scaled, add_t, neg, q, max_messages)
+            got = kernels.exhaustive_scan(scaled, field.arith, q, max_messages)
             assert got == reference_min(scaled, add_t, messages[:max_messages]), step
 
 
 @pytest.mark.parametrize("sizes", [(3,), (3, 1), (3, 1, 4)], ids=["1", "2", "3"])
 @pytest.mark.parametrize("batch", [(), (4,)], ids=["plain", "batch"])
 def test_combos_is_product_order(sizes, batch):
-    """Column c of _combos is the sum picked by the c-th itertools.product tuple."""
-    field = make_field(3, 2)
-    add_t, _ = field.kernel_tables()
-    rng = np.random.default_rng(len(sizes))
-    tables = [rng.integers(0, field.q, size=(5, *batch, v), dtype=np.uint8) for v in sizes]
-    got = kernels._combos(add_t, tables)
-    assert got.shape == (5, *batch, np.prod(sizes))
-    for c, picks in enumerate(itertools.product(*map(range, sizes))):
-        want = tables[0][..., picks[0]]
-        for table, i in zip(tables[1:], picks[1:]):
-            want = field.add_arrays(want, table[..., i])
-        assert np.array_equal(got[..., c], want), picks
+    """Column c of _combos is the sum picked by the c-th itertools.product
+    tuple, through the addition table (GF(9)) and through XOR (GF(8))."""
+    for field in (make_field(3, 2), make_field(2, 3)):
+        rng = np.random.default_rng(len(sizes))
+        tables = [rng.integers(0, field.q, size=(5, *batch, v), dtype=np.uint8) for v in sizes]
+        got = kernels._combos(field.arith, tables)
+        assert got.shape == (5, *batch, np.prod(sizes))
+        for c, picks in enumerate(itertools.product(*map(range, sizes))):
+            want = tables[0][..., picks[0]]
+            for table, i in zip(tables[1:], picks[1:]):
+                want = field.add_arrays(want, table[..., i])
+            assert np.array_equal(got[..., c], want), (field, picks)
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (2, 3)], ids=["lookup", "xor"])
+def test_combos_of_transposed_rows_is_c_ordered(p, m):
+    """The exhaustive block is built from row.T views (N, q); each sum must
+    come out C-ordered, or the reshape to (N, q^t) copies it."""
+    field = make_field(p, m)
+    ar = field.arith
+    generator = np.random.default_rng(m).integers(0, field.q, size=(3, 11))
+    rows = [row.T for row in kernels.scaled_rows(field, generator)]
+    assert not rows[0].flags.c_contiguous
+    assert ar.add(rows[0][:, :, None], rows[1][:, None, :]).flags.c_contiguous
+    for t in (2, 3):
+        block = kernels._combos(ar, rows[:t])
+        assert block.shape == (11, field.q**t) and block.flags.c_contiguous
 
 
 @pytest.mark.parametrize("n", [1, 254, 255, 256, 510, 511, 600])
@@ -449,19 +472,18 @@ def test_exhaustive_scan_tables_fit_the_step(step, monkeypatch):
     """No block or head table that the scan builds exceeds max(step, N) bytes."""
     field = make_field(5)
     q, k, n_cols = field.q, 5, 300
-    add_t, neg = field.kernel_tables()
     scaled = random_scaled(field, k, seed=q, n_cols=n_cols)
     sizes = []
-    lookup = kernels.table_lookup
+    add = gf_module._Arith.add
 
-    def spy(table, a, b):
-        out = lookup(table, a, b)
+    def spy(self, a, b):
+        out = add(self, a, b)
         sizes.append(out.nbytes)
         return out
 
     monkeypatch.setattr(kernels, "_STEP_BYTES", step)
-    monkeypatch.setattr(kernels, "table_lookup", spy)
-    kernels.exhaustive_scan(scaled, add_t, neg, q, (q**k - 1) // (q - 1))
+    monkeypatch.setattr(gf_module._Arith, "add", spy)
+    kernels.exhaustive_scan(scaled, field.arith, q, (q**k - 1) // (q - 1))
     assert sizes and max(sizes) <= max(step, n_cols), sizes
 
 
@@ -498,7 +520,7 @@ ISD_CASES = [pytest.param(p, m, k, None, None, id=f"{p}-{m}-{k}") for p, m, k in
 def test_isd_level_scan_matches_reference(p, m, k, n_cols, split_step, monkeypatch):
     field = make_field(p, m)
     q = field.q
-    add_t, neg = field.kernel_tables()
+    add_t = add_table(field)
     scaled = random_scaled(field, k, seed=q + 1, n_cols=n_cols)
     levels = []
     for level in range(1, k + 1):
@@ -512,7 +534,7 @@ def test_isd_level_scan_matches_reference(p, m, k, n_cols, split_step, monkeypat
     for step in steps:
         monkeypatch.setattr(kernels, "_STEP_BYTES", step)
         for supports, ref in levels:
-            out_w, out_idx = kernels.isd_level_scan(scaled, add_t, neg, np.array(supports))
+            out_w, out_idx = kernels.isd_level_scan(scaled, field.arith, np.array(supports))
             # the support rows are the pivot columns each message hits
             want = [(w + len(s), j) for s, (w, j) in zip(supports, ref)]
             got = list(zip(out_w.tolist(), out_idx.tolist()))
@@ -529,18 +551,17 @@ def test_isd_level_scan_matches_reference(p, m, k, n_cols, split_step, monkeypat
 
         monkeypatch.setattr(kernels, "_STEP_BYTES", split_step)
         monkeypatch.setattr(kernels, "_weights", spy)
-        kernels.isd_level_scan(scaled, add_t, neg, np.array([range(k)]))
+        kernels.isd_level_scan(scaled, field.arith, np.array([range(k)]))
         assert len(tiles) > 1 and sum(tiles) == (q - 1) ** (k - 2), tiles
 
 
 def test_isd_level_scan_weight_beyond_accumulator():
     """N' = 255 fits the uint8 accumulator; 255 plus the pivots does not."""
     field = make_field(5)
-    add_t, neg = field.kernel_tables()
     generator = np.zeros((2, 255), dtype=np.int64)
     generator[0] = 1  # every message on rows {0, 1} is nonzero everywhere
     scaled = kernels.scaled_rows(field, generator)
-    out_w, out_idx = kernels.isd_level_scan(scaled, add_t, neg, np.array([(0, 1)]))
+    out_w, out_idx = kernels.isd_level_scan(scaled, field.arith, np.array([(0, 1)]))
     assert (out_w.tolist(), out_idx.tolist()) == ([257], [0])
 
 

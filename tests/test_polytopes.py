@@ -414,7 +414,6 @@ def test_realize_simplex_box_mix():
 def test_recipe_index_sets():
     r = ConstructionRecipe((Segment(1), PyramidScale(2), Segment(3)))
     assert r.segment_positions() == [0, 2]
-    assert r.pyramid_positions() == [1]
 
 
 # ---------------------------------------------------------------------------
