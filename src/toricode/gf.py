@@ -383,6 +383,9 @@ def torus_exponents(spec: FieldSpec, n: int) -> np.ndarray:
 
 # columns taken per block by the lazy elimination of row_reduce and gf_rank
 _BLOCK_COLUMNS = 1024
+# outputs per addition-table lookup: its uint16 index and the intp copy that
+# `np.take` makes of it hold 10 bytes per output, so at most 640 KiB
+_ADD_CHUNK = 1 << 16
 
 
 class _Arith:
@@ -402,13 +405,34 @@ class _Arith:
 
     def add(self, a, b) -> np.ndarray:
         """a + b; with tables C-ordered whatever the operands' layout. For
-        odd q the uint16 index a * q + b (< 2^16) is widened to intp inside
-        `np.take`, about 11 bytes per output byte while it runs."""
+        odd q a lookup of the uint16 index a * q + b (< 2^16), at most
+        _ADD_CHUNK outputs at a time, so its index never outgrows 640 KiB."""
         if not self.tables:
             return self.spec.add_arrays(a, b)
         if self._add is None:
             return np.bitwise_xor(a, b, order="C")
-        return np.take(self._add.ravel(), a.astype(np.uint16) * self.spec.q + b)
+        out = np.empty(np.broadcast(a, b).shape, dtype=np.uint8)
+        self._lookup(a, b, out)
+        return out
+
+    def _lookup(self, a, b, out) -> None:
+        """out = a + b through the addition table, one `np.take` per
+        leading-axis slice of at most _ADD_CHUNK outputs. The operands are
+        broadcast along that axis only, as views, so nothing but the index
+        is copied and each operand's other axes keep their own sizes."""
+        if out.size <= _ADD_CHUNK:
+            # every index is below q^2; "clip" writes into out unbuffered
+            index = a.astype(np.uint16) * self.spec.q + b
+            np.take(self._add.ravel(), index, out=out, mode="clip")
+            return
+        a, b = (x.reshape((1,) * (out.ndim - x.ndim) + x.shape) for x in (a, b))
+        a, b = (np.broadcast_to(x, (len(out), *x.shape[1:])) for x in (a, b))
+        # `step` whole slices per lookup, or one slice at a time, cut
+        # further, when a slice alone exceeds the chunk
+        step = _ADD_CHUNK // (out.size // len(out))
+        parts = (slice(i, i + step) for i in range(0, len(out), step)) if step else range(len(out))
+        for part in parts:
+            self._lookup(a[part], b[part], out[part])
 
     def scale(self, s: int, row) -> np.ndarray:
         """s * row for one field element s."""

@@ -35,8 +35,9 @@ from .gf import gf_matvec, row_reduce
 
 DEFAULT_BUDGET = 2**34  # codeword-symbol operations
 # bytes of the (k, q, N) table of scaled generator rows, refused before
-# anything is built; a search holds at most two tables of this size (the
-# table itself and, in the ISD, its symbol-major copy `rows`)
+# anything is built. A search holds the table itself and, in the ISD, one
+# row-pair table of at most kernels._STEP_BYTES; while a level takes
+# last-row suffixes it also holds their symbol-major copy, under the table
 SCALED_CAP = 1 << 25
 
 
@@ -199,12 +200,15 @@ def min_distance_isd(
     best = None  # (support, pattern index)
     work = 0
     exact = False
+    pairs = None  # the row-pair suffix table, built once for levels 3 on
     for level in range(1, k + 1):
         level_messages = comb(k, level) * (q - 1) ** (level - 1)
         if (work + level_messages) * n_block > budget:
             break
         supports = np.array(list(combinations(range(k), level)), dtype=np.int64)
-        out_w, out_idx = kernels.isd_level_scan(scaled, spec.arith, supports)
+        if level == 3:
+            pairs = kernels.row_pair_table(scaled, spec.arith)
+        out_w, out_idx = kernels.isd_level_scan(scaled, spec.arith, supports, pairs)
         work += level_messages
         s_best = int(np.argmin(out_w))
         if int(out_w[s_best]) < ub:

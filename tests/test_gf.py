@@ -201,6 +201,33 @@ def test_kernel_tables_consistent():
         make_field(2, 9).mul_table()
 
 
+# (chunk, a shape, b shape): several whole slices per lookup, a slice cut
+# further (also in two levels), an operand of lower rank, and the real chunk
+ADD_CHUNK_CASES = [
+    (7, (5, 1, 3), (1, 4, 3)),
+    (7, (2, 3, 11), (3, 11)),
+    (7, (2, 1, 3, 11), (1, 2, 1, 11)),
+    (1 << 16, (300, 1, 400), (1, 3, 400)),
+    (1 << 16, (2, 70000), (70000,)),
+]
+
+
+@pytest.mark.parametrize("chunk,a_shape,b_shape", ADD_CHUNK_CASES)
+@pytest.mark.parametrize("p,m", [(7, 1), (3, 2)], ids=["GF(7)", "GF(9)"])
+def test_table_add_in_chunks_matches_add_arrays(p, m, chunk, a_shape, b_shape, monkeypatch):
+    """The odd-q add looks up at most _ADD_CHUNK outputs at a time; the
+    broadcast sum is the int64 `add_arrays` one, C-ordered."""
+    f = make_field(p, m)
+    rng = np.random.default_rng(len(a_shape) + chunk)
+    a = rng.integers(0, f.q, size=a_shape, dtype=np.uint8)
+    b = rng.integers(0, f.q, size=b_shape, dtype=np.uint8)
+    monkeypatch.setattr(gf_module, "_ADD_CHUNK", chunk)
+    got = f.arith.add(a, b)
+    want = f.add_arrays(a.astype(np.int64), b.astype(np.int64))
+    assert got.dtype == np.uint8 and got.flags.c_contiguous
+    assert np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # primitive element and torus enumeration
 # ---------------------------------------------------------------------------

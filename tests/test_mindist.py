@@ -420,33 +420,35 @@ def test_exhaustive_scan_matches_reference(p, m, k, n_cols, more_steps, monkeypa
 @pytest.mark.parametrize("sizes", [(3,), (3, 1), (3, 1, 4)], ids=["1", "2", "3"])
 @pytest.mark.parametrize("batch", [(), (4,)], ids=["plain", "batch"])
 def test_combos_is_product_order(sizes, batch):
-    """Column c of _combos is the sum picked by the c-th itertools.product
-    tuple, through the addition table (GF(9)) and through XOR (GF(8))."""
+    """Entry c of _combos, a row of N = 5 symbols, is the sum picked by the
+    c-th itertools.product tuple, through the addition table (GF(9)) and
+    through XOR (GF(8))."""
     for field in (make_field(3, 2), make_field(2, 3)):
         rng = np.random.default_rng(len(sizes))
-        tables = [rng.integers(0, field.q, size=(5, *batch, v), dtype=np.uint8) for v in sizes]
+        tables = [rng.integers(0, field.q, size=(*batch, v, 5), dtype=np.uint8) for v in sizes]
         got = kernels._combos(field.arith, tables)
-        assert got.shape == (5, *batch, np.prod(sizes))
+        assert got.shape == (*batch, np.prod(sizes), 5)
         for c, picks in enumerate(itertools.product(*map(range, sizes))):
-            want = tables[0][..., picks[0]]
+            want = tables[0][..., picks[0], :]
             for table, i in zip(tables[1:], picks[1:]):
-                want = field.add_arrays(want, table[..., i])
-            assert np.array_equal(got[..., c], want), (field, picks)
+                want = field.add_arrays(want, table[..., i, :])
+            assert np.array_equal(got[..., c, :], want), (field, picks)
 
 
 @pytest.mark.parametrize("p,m", [(3, 2), (2, 3)], ids=["lookup", "xor"])
 def test_combos_of_transposed_rows_is_c_ordered(p, m):
-    """The exhaustive block is built from row.T views (N, q); each sum must
-    come out C-ordered, or the reshape to (N, q^t) copies it."""
+    """The exhaustive block is built from rows of `scaled` as they are,
+    (q, N) views that are not C-ordered (`scaled` is a transposed view);
+    each sum must come out C-ordered, or the reshape to (q^t, N) copies it."""
     field = make_field(p, m)
     ar = field.arith
     generator = np.random.default_rng(m).integers(0, field.q, size=(3, 11))
-    rows = [row.T for row in kernels.scaled_rows(field, generator)]
+    rows = list(kernels.scaled_rows(field, generator))
     assert not rows[0].flags.c_contiguous
-    assert ar.add(rows[0][:, :, None], rows[1][:, None, :]).flags.c_contiguous
+    assert ar.add(rows[0][:, None, :], rows[1][None, :, :]).flags.c_contiguous
     for t in (2, 3):
         block = kernels._combos(ar, rows[:t])
-        assert block.shape == (11, field.q**t) and block.flags.c_contiguous
+        assert block.shape == (field.q**t, 11) and block.flags.c_contiguous
 
 
 @pytest.mark.parametrize("n", [1, 254, 255, 256, 510, 511, 600])
@@ -528,22 +530,40 @@ def test_isd_level_scan_matches_reference(p, m, k, n_cols, split_step, monkeypat
         ref = [reference_min(scaled, add_t, support_patterns(s, k, q)) for s in supports]
         levels.append((supports, ref))
     # the default step uses row-pair suffixes from level 3 on and whole
-    # prefixes per tile; a step of 1 forces last-row suffixes and one head
-    # per tile, so the argmin carries across tiles
-    steps = (kernels._STEP_BYTES, 1) + ((split_step,) if split_step else ())
+    # prefixes per tile; a step of 1 forces last-row suffixes (no pair
+    # table) and one head per tile, so the argmin carries across tiles
+    default = kernels._STEP_BYTES
+    steps = (default, 1) + ((split_step,) if split_step else ())
     for step in steps:
         monkeypatch.setattr(kernels, "_STEP_BYTES", step)
+        pairs = kernels.row_pair_table(scaled, field.arith)  # once, as a search does
+        assert (pairs is not None) == (step == default), step
         for supports, ref in levels:
-            out_w, out_idx = kernels.isd_level_scan(scaled, field.arith, np.array(supports))
+            out_w, out_idx = kernels.isd_level_scan(scaled, field.arith, np.array(supports), pairs)
             # the support rows are the pivot columns each message hits
             want = [(w + len(s), j) for s, (w, j) in zip(supports, ref)]
             got = list(zip(out_w.tolist(), out_idx.tolist()))
             assert got == want, step
+    # at the default step every level from 3 on compares against views of
+    # the pair table, the row-pair suffix
+    monkeypatch.setattr(kernels, "_STEP_BYTES", default)
+    pairs = kernels.row_pair_table(scaled, field.arith)
+    blocks = []
+    count = kernels._weights
+
+    def spy_blocks(block, neg_heads, acc):
+        blocks.append(block)
+        return count(block, neg_heads, acc)
+
+    monkeypatch.setattr(kernels, "_weights", spy_blocks)
+    for supports, _ in levels[2:]:
+        blocks.clear()
+        kernels.isd_level_scan(scaled, field.arith, np.array(supports), pairs)
+        assert blocks and all(np.shares_memory(b, pairs) for b in blocks), len(supports[0])
     if split_step:
         # level k has one support, so one prefix of (q-1)^(k-2) heads; the
         # case's step cuts it into several tiles
         tiles = []
-        count = kernels._weights
 
         def spy(block, neg_heads, acc):
             tiles.append(neg_heads.shape[1])
@@ -551,8 +571,52 @@ def test_isd_level_scan_matches_reference(p, m, k, n_cols, split_step, monkeypat
 
         monkeypatch.setattr(kernels, "_STEP_BYTES", split_step)
         monkeypatch.setattr(kernels, "_weights", spy)
-        kernels.isd_level_scan(scaled, field.arith, np.array([range(k)]))
+        pairs = kernels.row_pair_table(scaled, field.arith)
+        kernels.isd_level_scan(scaled, field.arith, np.array([range(k)]), pairs)
         assert len(tiles) > 1 and sum(tiles) == (q - 1) ** (k - 2), tiles
+
+
+@pytest.mark.parametrize("step", [1 << 20, 3000, 200])
+def test_isd_tables_fit_the_step(step, monkeypatch):
+    """The ISD counterpart of test_exhaustive_scan_tables_fit_the_step: a
+    search builds the row-pair table once, not once per level, and within
+    its gate; no head table exceeds max(step, one prefix's heads) bytes,
+    one prefix's heads being (q-1)^(w-s-1) x N'."""
+    field = make_field(5)
+    q = field.q
+    code = build_code(product(from_vertices(2, TRIANGLE), box([1])), field)
+    build_pairs, scan, combos = kernels.row_pair_table, kernels.isd_level_scan, kernels._combos
+    pair_tables, bounds, heads = [], [], []
+
+    def spy_pairs(scaled, ar):
+        pair_tables.append(build_pairs(scaled, ar))
+        return pair_tables[-1]
+
+    def spy_scan(scaled, ar, supports, pairs):
+        w = supports.shape[1]
+        s = 2 if w >= 3 and pairs is not None else 1
+        bounds.append(max(step, (q - 1) ** (w - s - 1) * scaled.shape[2]))
+        try:
+            return scan(scaled, ar, supports, pairs)
+        finally:
+            bounds.pop()
+
+    def spy_combos(ar, tables):
+        out = combos(ar, tables)
+        if bounds and len(tables) > 1:
+            heads.append((out.nbytes, bounds[-1]))
+        return out
+
+    monkeypatch.setattr(kernels, "_STEP_BYTES", step)
+    monkeypatch.setattr(kernels, "row_pair_table", spy_pairs)
+    monkeypatch.setattr(kernels, "isd_level_scan", spy_scan)
+    monkeypatch.setattr(kernels, "_combos", spy_combos)
+    r = min_distance_isd(code)
+    assert (r.d, r.exact) == (24, True)
+    assert len(pair_tables) == 1
+    assert (pair_tables[0] is None) == (step < (1 << 20))
+    assert pair_tables[0] is None or pair_tables[0].nbytes <= step
+    assert heads and all(size <= bound for size, bound in heads), heads
 
 
 def test_isd_level_scan_weight_beyond_accumulator():
@@ -561,8 +625,38 @@ def test_isd_level_scan_weight_beyond_accumulator():
     generator = np.zeros((2, 255), dtype=np.int64)
     generator[0] = 1  # every message on rows {0, 1} is nonzero everywhere
     scaled = kernels.scaled_rows(field, generator)
-    out_w, out_idx = kernels.isd_level_scan(scaled, field.arith, np.array([(0, 1)]))
+    out_w, out_idx = kernels.isd_level_scan(scaled, field.arith, np.array([(0, 1)]), None)
     assert (out_w.tolist(), out_idx.tolist()) == ([257], [0])
+
+
+@pytest.mark.parametrize("p,m", [(5, 1), (2, 2), (3, 2)], ids=["GF(5)", "GF(4)", "GF(9)"])
+def test_isd_when_every_column_is_a_pivot(p, m):
+    """The segment [0, q-2] has k = N, so every column is a pivot and the
+    ISD scans N' = 0 columns: the code is the whole space, d = 1. The
+    kernels take the empty rows and the empty pair table at every level."""
+    field = make_field(p, m)
+    q = field.q
+    code = build_code(box([q - 2]), field)
+    assert code.k == code.block_length
+    r, ex = min_distance_isd(code), min_distance_exhaustive(code)
+    assert (r.d, r.exact, r.lower, r.upper) == (1, True, 1, 1)
+    assert (ex.d, ex.exact) == (r.d, True)
+    k = code.k
+    scaled = kernels.scaled_rows(field, np.zeros((k, 0), dtype=np.int64))
+    pairs = kernels.row_pair_table(scaled, field.arith)
+    assert pairs.shape == (0, comb(k, 2), (q - 1) ** 2)
+    for level in range(1, k + 1):
+        supports = np.array(list(itertools.combinations(range(k), level)))
+        out_w, out_idx = kernels.isd_level_scan(scaled, field.arith, supports, pairs)
+        assert (out_w == level).all() and (out_idx == 0).all(), level
+
+
+def test_isd_on_the_cube_where_every_column_is_a_pivot():
+    """[0, 2]^3 over GF(4): k = N = 27, the whole space, d = 1."""
+    code = build_code(box([2, 2, 2]), make_field(2, 2))
+    assert code.k == code.block_length == 27
+    r = min_distance_isd(code)
+    assert (r.d, r.exact, r.work_count) == (1, True, 27)
 
 
 # ---------------------------------------------------------------------------
