@@ -234,15 +234,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, field=True):
+    def add_common(p, field=True, budget=True):
         if field:
             p.add_argument("--field", required=True, help="field size: p or p^m, e.g. 5 or 2^3")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="search budget in codeword-symbol operations")
+        if budget:
+            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                           help="search budget in codeword-symbol operations")
         p.add_argument("--out", default=None, help="write the report to a file")
 
     p_build = sub.add_parser("build", help="construct a toric code")
-    add_common(p_build)
+    add_common(p_build, budget=False)
     p_build.add_argument("--polytope", help="polytope JSON file")
     p_build.add_argument("--recipe", help="recipe JSON file")
     p_build.add_argument("--emit-generator", default=None,

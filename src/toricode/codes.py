@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import KERNEL_FIELD_CAP, FieldSpec, gf_matvec, gf_rank
+from .gf import FieldSpec, gf_matvec, gf_rank
 from .polytopes import LatticePolytope
 
 GENERATOR_CAP = 1 << 24  # generator entries k x (q-1)^n, checked before building
@@ -28,7 +28,7 @@ class ToricCode:
     field: FieldSpec
     polytope: LatticePolytope
     monomials: tuple[tuple[int, ...], ...]
-    generator: np.ndarray  # k x N element codes: uint8 if q <= 256, else uint16
+    generator: np.ndarray  # k x N element codes in field.dtype
     k: int
 
     @property
@@ -96,8 +96,7 @@ def build_code(
     if rows * cols > GENERATOR_CAP:
         raise ValueError(f"generator of {rows} x {cols} entries exceeds the cap {GENERATOR_CAP}")
     monomials = polytope.lattice_points
-    # element codes fit the narrowest unsigned type holding q - 1
-    exp = field.exp.astype(np.uint8 if q <= KERNEL_FIELD_CAP else np.uint16)
+    exp = field.exp.astype(field.dtype)
     # a log sum is at most n(q-2); ext[e] = g^(e mod (q-1)) up to there
     ext = np.resize(exp, n * (q - 2) + 1)
     assert ext.size <= 1 << 16, "log sums overflow uint16 under GENERATOR_CAP"

@@ -13,6 +13,7 @@ relative-distance bound (1 - 1/(q-1))^|I|.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -204,6 +205,7 @@ def dim_pyramid_dilate(dilate_dims) -> int:
     return sum(int(v) for v in dilate_dims)
 
 
+@functools.cache
 def dim_recipe(recipe: ConstructionRecipe) -> int:
     """Dimension (lattice-point count) via the product/pyramid recursions.
 
@@ -211,7 +213,8 @@ def dim_recipe(recipe: ConstructionRecipe) -> int:
     step, never its points: a segment step gives L_{P x [0,a]}(t) =
     L_P(t) (a t + 1), and since the slice of f Pyr(Q) at height h is
     (f - h) Q, a pyramid step gives L_{f Pyr(Q)}(t) = sum_{j=0..f t} L_Q(j).
-    The dimension is L(1) of the last step.
+    The dimension is L(1) of the last step. It does not depend on q, so it
+    is cached per recipe (a frozen dataclass) for the sweeps over q.
     """
     steps = recipe.steps
     memo: dict[tuple[int, int], int] = {}

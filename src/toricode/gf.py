@@ -11,12 +11,14 @@ loops are table lookups.
 Matrix arithmetic
 -----------------
 The matrix functions and the search kernels share one array arithmetic,
-`FieldSpec.arith`, the only code that adds, negates or multiplies uint8
-codes: for q <= KERNEL_FIELD_CAP elements are uint8 codes, a sum is XOR
-when p = 2 and a lookup in the dense q x q addition table otherwise, and a
-product is a lookup in `FieldSpec.mul_table`; above the cap they are int64
-through `add_arrays`/`mul_arrays`. A matrix product is a loop over the
-inner index adding outer products, each one vectorised over the whole output.
+`FieldSpec.arith`, the only code that adds, negates or multiplies element
+codes. A field's codes have one type, `FieldSpec.dtype`: uint8 up to
+q = 256, uint16 above. A sum is XOR when p = 2; for odd q it is a lookup in
+the dense q x q addition table up to KERNEL_FIELD_CAP and `add_arrays`,
+cast back, above it. A product is a lookup in `FieldSpec.mul_table` up to
+the cap and `mul_arrays` above it. `row_reduce`, `gf_matmul` and
+`gf_matvec` return int64. A matrix product is a loop over the inner index
+adding outer products, each one vectorised over the whole output.
 
 Nothing subtracts. The canonical code of -1 is p - 1, whose digits are
 (p - 1, 0, ..., 0): the constant polynomial p - 1 = -1 of GF(p). So
@@ -153,9 +155,10 @@ class FieldSpec:
         self.q = p**m
         self.modulus = tuple(int(c) for c in modulus)
         self._pw = tuple(p**i for i in range(m))
+        # the one element-code type: uint8 up to q = 256, uint16 above
+        self.dtype = np.min_scalar_type(self.q - 1)
         self.generator = self._find_generator()
         self._build_log_tables()
-        self._mul_u8 = None
 
     # -- construction internals
 
@@ -222,18 +225,9 @@ class FieldSpec:
         self.exp = exp
         self.log = log
         zeros = np.zeros(2 * n + 1, dtype=np.int64)
-        self._antilog = np.concatenate([exp, exp, zeros])  # see mul_arrays
+        self._antilog = np.concatenate([exp, exp, zeros]).astype(self.dtype)  # see mul_arrays
 
-    # -- identity / display
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FieldSpec)
-            and (self.p, self.m, self.modulus) == (other.p, other.m, other.modulus)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.m, self.modulus))
+    # -- display
 
     def __repr__(self) -> str:
         return f"GF({self.q})"
@@ -270,7 +264,8 @@ class FieldSpec:
         return out
 
     def mul_arrays(self, a, b) -> np.ndarray:
-        """a * b = _antilog[log a + log b], with no test for zero.
+        """a * b = _antilog[log a + log b] as element codes, with no test
+        for zero.
 
         _antilog is [exp, exp, 2(q-1) + 1 zeros]. Nonzero logs lie in
         [0, q-2], so the sum for two nonzero factors is at most 2q - 4 and
@@ -280,19 +275,13 @@ class FieldSpec:
         """
         return self._antilog[self.log[a] + self.log[b]]
 
-    def _table(self, op) -> np.ndarray:
-        if self.q > KERNEL_FIELD_CAP:
+    def mul_table(self) -> np.ndarray:
+        """Dense (q, q) uint8 multiplication table; q <= KERNEL_FIELD_CAP."""
+        if self.arith.mul is None:
             raise ValueError(
                 f"search kernels support q <= {KERNEL_FIELD_CAP}, got q = {self.q}"
             )
-        col = np.arange(self.q, dtype=np.int64)
-        return op(col[:, None], col[None, :]).astype(np.uint8)
-
-    def mul_table(self) -> np.ndarray:
-        """Dense (q, q) uint8 multiplication table; q <= KERNEL_FIELD_CAP."""
-        if self._mul_u8 is None:
-            self._mul_u8 = self._table(self.mul_arrays)
-        return self._mul_u8
+        return self.arith.mul
 
     @functools.cached_property
     def arith(self) -> _Arith:
@@ -383,62 +372,63 @@ def torus_exponents(spec: FieldSpec, n: int) -> np.ndarray:
 
 # columns taken per block by the lazy elimination of row_reduce and gf_rank
 _BLOCK_COLUMNS = 1024
-# outputs per addition-table lookup: its uint16 index and the intp copy that
-# `np.take` makes of it hold 10 bytes per output, so at most 640 KiB
+# outputs per addition-table lookup, the buffer size of the add's iterator:
+# its operand buffers, the uint16 index and the intp copy that `np.take`
+# makes of it hold at most 14 bytes per output (840 KiB peak measured)
 _ADD_CHUNK = 1 << 16
 
 
 class _Arith:
-    """Array arithmetic over one field, by the module's one dispatch rule."""
+    """Array arithmetic over one field in its element-code type
+    `FieldSpec.dtype`, by the module's one dispatch rule."""
 
     def __init__(self, spec: FieldSpec):
         self.spec = spec
-        self.tables = spec.q <= KERNEL_FIELD_CAP
-        self.dtype = np.uint8 if self.tables else np.int64
+        self.dtype = spec.dtype
+        codes = np.arange(spec.q, dtype=self.dtype)
+        # dense q x q tables up to KERNEL_FIELD_CAP; the addition table for odd q
+        tables = spec.q <= KERNEL_FIELD_CAP
+        self.mul = spec.mul_arrays(codes[:, None], codes) if tables else None
+        self._add = None
+        if tables and spec.p != 2:
+            self._add = spec.add_arrays(codes[:, None], codes).astype(self.dtype).ravel()
         # the negation map neg[v] = -v = (p - 1) v, row p - 1 of mul_table
-        self.neg = spec.mul_arrays(spec.p - 1, np.arange(spec.q)).astype(self.dtype)
-        if self.tables:
-            self._add = None if spec.p == 2 else spec._table(spec.add_arrays)
+        self.neg = spec.mul_arrays(spec.p - 1, codes)
 
     def cast(self, a) -> np.ndarray:
         return np.asarray(a, dtype=self.dtype)
 
     def add(self, a, b) -> np.ndarray:
-        """a + b; with tables C-ordered whatever the operands' layout. For
-        odd q a lookup of the uint16 index a * q + b (< 2^16), at most
-        _ADD_CHUNK outputs at a time, so its index never outgrows 640 KiB."""
-        if not self.tables:
-            return self.spec.add_arrays(a, b)
-        if self._add is None:
+        """a + b, C-ordered whatever the operands' layout. XOR when p = 2;
+        above KERNEL_FIELD_CAP `add_arrays`, cast back once; otherwise a
+        lookup of the uint16 index a * q + b (< 2^16) in the addition table.
+        One buffered iterator broadcasts the operands and feeds the lookup
+        _ADD_CHUNK outputs at a time, so nothing but a chunk is copied."""
+        if self.spec.p == 2:
             return np.bitwise_xor(a, b, order="C")
-        out = np.empty(np.broadcast(a, b).shape, dtype=np.uint8)
-        self._lookup(a, b, out)
-        return out
-
-    def _lookup(self, a, b, out) -> None:
-        """out = a + b through the addition table, one `np.take` per
-        leading-axis slice of at most _ADD_CHUNK outputs. The operands are
-        broadcast along that axis only, as views, so nothing but the index
-        is copied and each operand's other axes keep their own sizes."""
-        if out.size <= _ADD_CHUNK:
-            # every index is below q^2; "clip" writes into out unbuffered
-            index = a.astype(np.uint16) * self.spec.q + b
-            np.take(self._add.ravel(), index, out=out, mode="clip")
-            return
-        a, b = (x.reshape((1,) * (out.ndim - x.ndim) + x.shape) for x in (a, b))
-        a, b = (np.broadcast_to(x, (len(out), *x.shape[1:])) for x in (a, b))
-        # `step` whole slices per lookup, or one slice at a time, cut
-        # further, when a slice alone exceeds the chunk
-        step = _ADD_CHUNK // (out.size // len(out))
-        parts = (slice(i, i + step) for i in range(0, len(out), step)) if step else range(len(out))
-        for part in parts:
-            self._lookup(a[part], b[part], out[part])
+        if self._add is None:
+            return self.spec.add_arrays(a, b).astype(self.dtype, order="C")
+        it = np.nditer(
+            [a, b, None],
+            flags=["buffered", "external_loop", "zerosize_ok"],
+            op_flags=[["readonly"], ["readonly"], ["writeonly", "allocate"]],
+            op_dtypes=[np.uint16, np.uint16, self.dtype],
+            order="C",
+            buffersize=_ADD_CHUNK,
+        )
+        with it:
+            for x, y, out in it:
+                index = x * self.spec.q
+                index += y
+                # every index is below q^2; "clip" writes into out unbuffered
+                np.take(self._add, index, out=out, mode="clip")
+            return it.operands[2]
 
     def scale(self, s: int, row) -> np.ndarray:
         """s * row for one field element s."""
-        if not self.tables:
+        if self.mul is None:
             return self.spec.mul_arrays(s, row)
-        return np.take(self.spec.mul_table()[s], row)
+        return np.take(self.mul[s], row)
 
     def multiples(self, rows) -> np.ndarray:
         """out[v, ...] = v * rows for every element v; q <= KERNEL_FIELD_CAP."""
@@ -450,7 +440,7 @@ class _Arith:
         With tables: the row's multiples (q x len(row) lookups), then whole
         rows picked by f, a copy per row.
         """
-        if not self.tables:
+        if self.mul is None:
             return self.spec.mul_arrays(f[:, None], row[None, :])
         return self.multiples(row)[f]
 

@@ -108,8 +108,8 @@ import numpy as np
 # exhaustive block, head tile or comparison, an ISD head table, pair table
 # or comparison. Only an item that is larger by itself exceeds it: the last
 # row of `scaled` as the block, one head against a block, one prefix's
-# heads. The add that builds a table holds at most 640 KiB more while it
-# runs for odd q (`gf._ADD_CHUNK` outputs of index), nothing for q = 2^m
+# heads. The add that builds a table holds one chunk of `gf._ADD_CHUNK`
+# outputs more while it runs for odd q (840 KiB measured), none for q = 2^m
 _STEP_BYTES = 1 << 20
 
 

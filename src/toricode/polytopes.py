@@ -343,8 +343,6 @@ def double_pyramid(q: LatticePolytope) -> LatticePolytope:
 def dilate(p: LatticePolytope, k: int) -> LatticePolytope:
     if k < 0:
         raise ValueError(f"dilation factor must be nonnegative, got {k}")
-    if k == 0:
-        return from_vertices(p.dim, [(0,) * p.dim])
     return from_vertices(p.dim, [tuple(k * c for c in v) for v in p.vertices])
 
 

@@ -140,6 +140,32 @@ def test_table_builds_no_field(capsys, tmp_path):
     assert len(gf._FIELD_CACHE) == cached
 
 
+def test_table_counts_the_dimension_once_per_recipe(capsys, recipe_path, monkeypatch):
+    """k does not depend on q: a sweep evaluates the Ehrhart count of its
+    recipe once, however many rows it writes."""
+    from toricode import formulas
+
+    calls = []
+    pyramid_sum = formulas.dim_pyramid_dilate
+    monkeypatch.setattr(
+        formulas, "dim_pyramid_dilate", lambda dims: calls.append(1) or pyramid_sum(dims)
+    )
+    formulas.dim_recipe.cache_clear()
+    code, out, _ = run_cli(capsys, ["table", "--field-range", "4..50", "--recipe", recipe_path])
+    assert code == 0
+    rows = [line for line in out.splitlines() if ",formula," in line]
+    assert len(rows) > 10 and len(calls) == 1
+    assert rows[1] == "5,16,6,8,1/2,3/8,formula,true"
+
+
+def test_build_takes_no_budget(capsys, triangle_path):
+    """Only the searching subcommands register --budget."""
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "--field", "5", "--polytope", triangle_path, "--budget", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --budget 5" in capsys.readouterr().err
+
+
 def test_table_field_cap_is_an_error(capsys, recipe_path):
     code, out, err = run_cli(
         capsys, ["table", "--field-range", "65536..65537", "--recipe", recipe_path]

@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -201,8 +202,9 @@ def test_kernel_tables_consistent():
         make_field(2, 9).mul_table()
 
 
-# (chunk, a shape, b shape): several whole slices per lookup, a slice cut
-# further (also in two levels), an operand of lower rank, and the real chunk
+# (chunk, a shape, b shape): the chunk is the add iterator's buffer size;
+# chunks spanning several rows, rows cut into several chunks, operands of
+# lower rank, and the real chunk
 ADD_CHUNK_CASES = [
     (7, (5, 1, 3), (1, 4, 3)),
     (7, (2, 3, 11), (3, 11)),
@@ -215,8 +217,9 @@ ADD_CHUNK_CASES = [
 @pytest.mark.parametrize("chunk,a_shape,b_shape", ADD_CHUNK_CASES)
 @pytest.mark.parametrize("p,m", [(7, 1), (3, 2)], ids=["GF(7)", "GF(9)"])
 def test_table_add_in_chunks_matches_add_arrays(p, m, chunk, a_shape, b_shape, monkeypatch):
-    """The odd-q add looks up at most _ADD_CHUNK outputs at a time; the
-    broadcast sum is the int64 `add_arrays` one, C-ordered."""
+    """The odd-q add looks up at most _ADD_CHUNK outputs at a time, the
+    buffer size of its iterator; the broadcast sum is the int64
+    `add_arrays` one, C-ordered."""
     f = make_field(p, m)
     rng = np.random.default_rng(len(a_shape) + chunk)
     a = rng.integers(0, f.q, size=a_shape, dtype=np.uint8)
@@ -226,6 +229,63 @@ def test_table_add_in_chunks_matches_add_arrays(p, m, chunk, a_shape, b_shape, m
     want = f.add_arrays(a.astype(np.int64), b.astype(np.int64))
     assert got.dtype == np.uint8 and got.flags.c_contiguous
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("p,m", [(7, 1), (3, 2)], ids=["GF(7)", "GF(9)"])
+def test_table_add_memory_is_one_chunk(p, m):
+    """Broadcast operands are read a chunk at a time: the add holds under
+    1 MiB beyond its 2.4 MB output."""
+    f = make_field(p, m)
+    q = f.q
+    rng = np.random.default_rng(q)
+    a = rng.integers(0, q, size=(351, 1, 189), dtype=np.uint8)
+    b = rng.integers(0, q, size=(1, 36, 189), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        got = f.arith.add(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - got.nbytes < 1 << 20, peak - got.nbytes
+    assert np.array_equal(got, f.add_arrays(a, b))
+
+
+@pytest.mark.parametrize("q", [7, 8, 9, 257, 729, 1 << 16])
+def test_add_of_transposed_and_empty_operands_is_c_ordered(q):
+    f = field_for_order(q)
+    rng = np.random.default_rng(q)
+    a = rng.integers(0, q, size=(40, 30)).astype(f.dtype).T
+    b = rng.integers(0, q, size=(30, 1)).astype(f.dtype)
+    empty = np.zeros((0, 5), f.dtype)
+    for x, y in [(a, b), (a, a), (b.T, a.T[::-2]), (a[:0], b[:0]), (empty, a[0, :5])]:
+        got = f.arith.add(x, y)
+        assert got.dtype == f.dtype and got.flags.c_contiguous
+        assert np.array_equal(got, f.add_arrays(x, y))
+
+
+@pytest.mark.parametrize("q", [256, 257, 1 << 16])
+def test_one_element_code_type_per_field(q, monkeypatch):
+    """The field's dtype is the type of its generators, sums, products and
+    elimination, on both sides of KERNEL_FIELD_CAP."""
+    f = field_for_order(q)
+    want = np.uint8 if q <= 256 else np.uint16
+    assert f.dtype == want
+    code = build_code(from_vertices(1, [(0,), (3,)]), f)
+    g = code.generator
+    assert g.dtype == want
+    assert f.arith.add(g[0], g[1]).dtype == want
+    assert f.mul_arrays(g[0], g[1]).dtype == want
+    types = []
+    eliminate = gf_module._eliminate
+
+    def spy(ar, mat, blocks):
+        t, pivots = eliminate(ar, mat, blocks)
+        types.append(t.dtype)
+        return t, pivots
+
+    monkeypatch.setattr(gf_module, "_eliminate", spy)
+    assert gf_rank(f, g) == 4
+    assert types == [want]
 
 
 # ---------------------------------------------------------------------------
