@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import FieldSpec, gf_matvec, gf_rank
-from .polytopes import LatticePolytope
+from .polytopes import LatticePolytope, _as_int
 
 GENERATOR_CAP = 1 << 24  # generator entries k x (q-1)^n, checked before building
 # generator entries filled per chunk of rows, which bounds the temporaries
@@ -120,13 +120,14 @@ def build_code(
 
 def evaluate(code: ToricCode, coefficients) -> Codeword:
     """Codeword of the message vector indexed by the monomial rows."""
-    coeffs = np.array([int(c) for c in coefficients], dtype=np.int64)
-    if coeffs.shape[0] != len(code.monomials):
+    coeffs = [_as_int(c, "a message coefficient") for c in coefficients]
+    if len(coeffs) != len(code.monomials):
         raise ValueError(
-            f"message length {coeffs.shape[0]} != number of monomials {len(code.monomials)}"
+            f"message length {len(coeffs)} != number of monomials {len(code.monomials)}"
         )
-    if coeffs.size and (coeffs.min() < 0 or coeffs.max() >= code.field.q):
+    if not all(0 <= c < code.field.q for c in coeffs):
         raise ValueError("message coefficients must be canonical field elements")
+    coeffs = np.array(coeffs, dtype=np.int64)
     values = gf_matvec(code.field, coeffs, code.generator)
     return Codeword(code, coeffs, values)
 

@@ -16,9 +16,9 @@ codes. A field's codes have one type, `FieldSpec.dtype`: uint8 up to
 q = 256, uint16 above. A sum is XOR when p = 2; for odd q it is a lookup in
 the dense q x q addition table up to KERNEL_FIELD_CAP and `add_arrays`,
 cast back, above it. A product is a lookup in `FieldSpec.mul_table` up to
-the cap and `mul_arrays` above it. `row_reduce`, `gf_matmul` and
-`gf_matvec` return int64. A matrix product is a loop over the inner index
-adding outer products, each one vectorised over the whole output.
+the cap and `mul_arrays` above it. `row_reduce` and `gf_matvec` return
+int64. A matrix product is a loop over the inner index adding outer
+products, each one vectorised over the whole output.
 
 Nothing subtracts. The canonical code of -1 is p - 1, whose digits are
 (p - 1, 0, ..., 0): the constant polynomial p - 1 = -1 of GF(p). So
@@ -29,27 +29,30 @@ Products have one rule for every q, `FieldSpec.mul_arrays`: one antilog
 lookup at log a + log b, where zero has a sentinel log (the soundness
 argument is in its docstring); `mul_table` is built from it.
 
-Lazy blocked elimination (soundness)
-------------------------------------
+Elimination (soundness)
+-----------------------
 `row_reduce` is Gauss-Jordan elimination with the first nonzero row at or
-below the current rank as pivot, taking columns from left to right. It
-keeps only the k x k transform T, the product of the row operations so far,
-and takes the columns a block at a time: a block enters as T @ mat[:, block].
-Every row operation (swap, scaling, elimination) acts on all columns of
-mat at once, so the column c of the fully updated matrix is at every moment
-T_current @ mat[:, c]. Hence the block column, when it is reached, is
-exactly the column the plain column-by-column loop holds at that point;
-the pivot row, the scale and the eliminated rows are the same, so T and the
-pivot list are identical, and reduced = T @ mat is the plain loop's matrix.
-Until the first pivot T is the identity (every row operation belongs to a
-pivot), so a block that enters at rank 0 is a copy of mat[:, block] and
-costs no product.
-The row operations of one pivot are applied to every row at once, to the
-columns of the block not yet reached and to T. Columns of a block that are
-zero at and below the current rank when the block enters stay zero there
-(every later pivot row lies at or below that rank and is zero in them), so
-they are skipped without a test. The loop stops once every row has a pivot;
-`gf_rank` needs only the pivot count and never forms T @ mat.
+below the current rank as pivot, taking columns from left to right: the
+plain loop on [mat | I]. Each row operation (swap, scaling, elimination)
+acts on both halves, so the right half is at every moment the product T of
+the row operations so far, with T @ mat equal to the left half; at the end
+the halves are reduced and transform, and no product is formed. A pivot is
+one swap, one scaling and one outer-product add on the columns from the
+pivot column on, all rows at once.
+
+`gf_rank` runs the same loop lazily, a block of columns at a time, with T
+carried as the block's trailing columns: a block enters as
+[T @ mat[:, block] | T] and the next block's T is its right part. Since
+every row operation acts on all columns of mat at once, the column c of the
+fully updated matrix is at every moment T_current @ mat[:, c]. Hence the
+block column, when it is reached, is exactly the column the plain loop holds
+at that point; the pivot row, the scale and the eliminated rows are the
+same, so T and the pivot list are identical. Until the first pivot T is the
+identity (every row operation belongs to a pivot), so a block that enters at
+rank 0 costs no product. Columns of a block that are zero at and below the
+current rank when the block enters stay zero there (every later pivot row
+lies at or below that rank and is zero in them), so they are skipped
+without a test. The loop stops once every row has a pivot.
 
 The argument holds for any order in which the columns are visited: the loop
 is then the plain loop on mat with its columns permuted, and a column
@@ -370,7 +373,7 @@ def torus_exponents(spec: FieldSpec, n: int) -> np.ndarray:
 # linear algebra over GF(q)
 # ---------------------------------------------------------------------------
 
-# columns taken per block by the lazy elimination of row_reduce and gf_rank
+# columns taken per block by the lazy elimination of gf_rank
 _BLOCK_COLUMNS = 1024
 # outputs per addition-table lookup, the buffer size of the add's iterator:
 # its operand buffers, the uint16 index and the intp copy that `np.take`
@@ -394,9 +397,6 @@ class _Arith:
             self._add = spec.add_arrays(codes[:, None], codes).astype(self.dtype).ravel()
         # the negation map neg[v] = -v = (p - 1) v, row p - 1 of mul_table
         self.neg = spec.mul_arrays(spec.p - 1, codes)
-
-    def cast(self, a) -> np.ndarray:
-        return np.asarray(a, dtype=self.dtype)
 
     def add(self, a, b) -> np.ndarray:
         """a + b, C-ordered whatever the operands' layout. XOR when p = 2;
@@ -455,46 +455,46 @@ class _Arith:
 
 
 def _eliminate(ar: _Arith, mat: np.ndarray, blocks):
-    """(transform, pivot_columns) of the Gauss-Jordan loop over the columns
-    of mat, visited as the given sequence of column slices.
+    """(x, pivot_columns) of the Gauss-Jordan loop over the columns of mat,
+    visited as the given sequence of column slices; x is the last block
+    visited, [T @ mat[:, block] | T] at the end of the loop.
 
     Lazy and column-blocked; the module docstring gives the argument that
     the result is the plain loop's on the columns in that order.
     """
     rows, cols = mat.shape
-    t = np.eye(rows, dtype=ar.dtype)
+    x = t = np.eye(rows, dtype=ar.dtype)
     r = 0
     pivots: list[int] = []
     for block in blocks:
-        if r == rows:
-            break
-        x = np.array(mat[:, block], dtype=ar.dtype)  # T = I until the first pivot
-        if r:
-            x = ar.matmul(t, x)
-        for j in np.flatnonzero(x[r:].any(axis=0)):
+        x = np.asarray(mat[:, block], dtype=ar.dtype)
+        width = x.shape[1]
+        # [T @ mat[:, block] | T], with T = I until the first pivot
+        x = np.concatenate([ar.matmul(t, x) if r else x, t], axis=1)
+        for j in np.flatnonzero(x[r:, :width].any(axis=0)):
             below = np.flatnonzero(x[r:, j])
             if not below.size:
                 continue
             pivot = r + int(below[0])
             if pivot != r:
                 x[[r, pivot]] = x[[pivot, r]]
-                t[[r, pivot]] = t[[pivot, r]]
-            rest = slice(j + 1, None)  # block columns not reached yet
+            rest = slice(j, None)  # the block columns from j on, and T
             s = ar.spec.inv(int(x[r, j]))
             if s != 1:
                 x[r, rest] = ar.scale(s, x[r, rest])
-                t[r] = ar.scale(s, t[r])
             f = ar.neg[x[:, j]]  # the negated factors, a copy
             f[r] = 0
             hit = np.flatnonzero(f)
             if hit.size:
                 x[hit, rest] = ar.add(x[hit, rest], ar.outer(f[hit], x[r, rest]))
-                t[hit] = ar.add(t[hit], ar.outer(f[hit], t[r]))
             pivots.append(range(cols)[block][j])
             r += 1
             if r == rows:
                 break
-    return t, pivots
+        t = x[:, width:]
+        if r == rows:
+            break
+    return x, pivots
 
 
 def row_reduce(spec: FieldSpec, mat: np.ndarray):
@@ -503,22 +503,20 @@ def row_reduce(spec: FieldSpec, mat: np.ndarray):
     Returns (reduced, transform, pivot_columns) with reduced = transform @ mat
     over GF(q); pivot columns are unit vectors in `reduced`. Columns are
     taken from left to right, each pivot on the first nonzero row at or
-    below the current rank.
+    below the current rank: the plain loop on [mat | I], whose two halves
+    are reduced and transform.
     """
-    ar = spec.arith
     mat = np.asarray(mat)
-    cols = mat.shape[1]
-    blocks = [slice(s, s + _BLOCK_COLUMNS) for s in range(0, cols, _BLOCK_COLUMNS)]
-    t, pivots = _eliminate(ar, mat, blocks)
-    reduced = ar.matmul(t, ar.cast(mat))
-    return reduced.astype(np.int64), t.astype(np.int64), pivots
+    x, pivots = _eliminate(spec.arith, mat, [slice(None)])
+    x = x.astype(np.int64)
+    return x[:, : mat.shape[1]], x[:, mat.shape[1] :], pivots
 
 
 def gf_rank(spec: FieldSpec, mat: np.ndarray) -> int:
     """Rank over GF(q): the pivot count of the elimination over strided
-    column blocks (module docstring), without forming reduced. A tall
-    matrix is ranked as its transpose, so the transform is never larger
-    than min(rows, cols) squared."""
+    column blocks (module docstring). A tall matrix is ranked as its
+    transpose, so the transform is never larger than min(rows, cols)
+    squared."""
     mat = np.asarray(mat)
     if mat.shape[0] > mat.shape[1]:
         mat = mat.T
@@ -533,10 +531,6 @@ def gf_rank(spec: FieldSpec, mat: np.ndarray) -> int:
 
 def gf_matvec(spec: FieldSpec, vec: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """vec @ mat over GF(q) for a length-k vector and a k x n matrix."""
-    return gf_matmul(spec, np.asarray(vec)[None, :], mat)[0]
-
-
-def gf_matmul(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over GF(q)."""
     ar = spec.arith
-    return ar.matmul(ar.cast(a), ar.cast(b)).astype(np.int64)
+    vec = np.asarray(vec, dtype=ar.dtype)[None, :]
+    return ar.matmul(vec, np.asarray(mat, dtype=ar.dtype))[0].astype(np.int64)

@@ -73,7 +73,7 @@ def _as_int(value, what: str) -> int:
         out = int(value)
     except (TypeError, ValueError, OverflowError):
         out = None
-    if out is None or out != value or isinstance(value, bool):
+    if out is None or out != value or isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return out
 

@@ -248,6 +248,27 @@ def test_criterion_08_mix_formula_vs_search():
     report(8, verified >= 40, dt, "recipe formula equals search on every feasible instance", extra)
 
 
+@pytest.mark.parametrize("p,m,exact,capped", [(2, 3, 20, 21), (3, 2, 18, 23)],
+                         ids=["GF(8)", "GF(9)"])
+def test_recipe_grid_over_extension_fields(p, m, exact, capped):
+    """Criterion 8's grid over a 2^m and an odd p^m field under a 2^26
+    budget: exact searches equal the formula, capped ones bracket it."""
+    field = make_field(p, m)
+    counts = {True: 0, False: 0}
+    for recipe in _all_recipes():
+        if not recipe_valid_for(recipe, field.q):
+            continue
+        d_formula = d_recipe(recipe, field.q)
+        result = min_distance(build_code(realize_recipe(recipe), field), budget=2**26)
+        label = _recipe_label(recipe, field.q)
+        if result.exact:
+            assert result.d == d_formula, (label, result.d, d_formula)
+        else:
+            assert result.lower <= d_formula <= result.upper, (label, result.lower, result.upper)
+        counts[result.exact] += 1
+    assert (counts[True], counts[False]) == (exact, capped)
+
+
 def test_next_dimension_recipe_grid_gf4():
     """The paper's next dimension over a 2^m field: every valid n = 4 recipe
     of criterion 8's step set over GF(4) is searched exactly under the

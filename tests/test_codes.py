@@ -207,6 +207,30 @@ def test_evaluate_rejects_bad_messages():
         evaluate(code, [7] * code.k)
 
 
+@pytest.mark.parametrize("bad", [1.5, True, np.True_, "2", None],
+                         ids=["float", "bool", "numpy bool", "str", "None"])
+def test_evaluate_rejects_non_integer_coefficients(bad):
+    """A coefficient is never truncated: 1.5 is not the message of 1."""
+    code = triangle_code()
+    msg = [0] * code.k
+    msg[0] = bad
+    with pytest.raises(ValueError, match=r"^a message coefficient must be an integer, got "):
+        evaluate(code, msg)
+
+
+def test_evaluate_accepts_numpy_integers():
+    code = triangle_code()
+    msg = [0] * code.k
+    msg[0], msg[1] = np.int64(3), np.uint8(2)
+    want = evaluate(code, [3, 2] + [0] * (code.k - 2))
+    for cw in (evaluate(code, msg), evaluate(code, np.array(msg, dtype=np.uint8))):
+        assert np.array_equal(cw.values, want.values)
+        assert cw.coefficients.tolist() == want.coefficients.tolist()
+    # an integer far outside the field is refused as such, not as an overflow
+    with pytest.raises(ValueError, match="canonical"):
+        evaluate(code, [2**70] + [0] * (code.k - 1))
+
+
 def test_scalar_multiples_preserve_weight():
     code = triangle_code()
     rng = random.Random(13)

@@ -13,7 +13,6 @@ from toricode.codes import build_code
 from toricode.gf import (
     as_prime_power,
     field_for_order,
-    gf_matmul,
     gf_matvec,
     gf_rank,
     make_field,
@@ -453,9 +452,51 @@ def test_row_reduce_identical_to_reference_loop(q, block, monkeypatch):
         assert np.array_equal(red, want_red)
         assert red.dtype == t.dtype == np.int64
         assert gf_rank(f, mat) == len(want_pivots)
-        assert np.array_equal(gf_matmul(f, want_t, mat), want_red)
+        for t_row, red_row in zip(want_t, want_red):
+            assert np.array_equal(gf_matvec(f, t_row, mat), red_row)
         if len(mat):
             assert np.array_equal(gf_matvec(f, want_t[-1], mat), want_red[-1])
+
+
+@pytest.mark.parametrize("block", [3, None])
+@pytest.mark.parametrize("q", [2, 5, 9, 16, 257])
+def test_elimination_makes_one_add_per_pivot(q, block, monkeypatch):
+    """Each pivot is one row operation on [block | T]: `row_reduce` forms no
+    product at all, and `gf_rank` adds nothing per pivot beyond that one add
+    and the products that bring a block in."""
+    if block is not None:
+        monkeypatch.setattr(gf_module, "_BLOCK_COLUMNS", block)
+    f = field_for_order(q)
+    calls = {"matmul": 0, "add": 0}
+    in_matmul = []
+    add, matmul = gf_module._Arith.add, gf_module._Arith.matmul
+
+    def spy_add(self, a, b):
+        if not in_matmul:
+            calls["add"] += 1
+        return add(self, a, b)
+
+    def spy_matmul(self, a, b):
+        calls["matmul"] += 1
+        in_matmul.append(1)
+        try:
+            return matmul(self, a, b)
+        finally:
+            in_matmul.pop()
+
+    monkeypatch.setattr(gf_module._Arith, "add", spy_add)
+    monkeypatch.setattr(gf_module._Arith, "matmul", spy_matmul)
+    rng = random.Random(q)
+    mats = list(random_matrices(q, rng))
+    if 4 < q < 257:  # a toric generator, N = (q-1)^2
+        mats.append(build_code(from_vertices(2, [(1, 0), (0, 2), (2, 1)]), f).generator)
+    for mat in mats:
+        calls.update(matmul=0, add=0)
+        _, _, pivots = row_reduce(f, mat)
+        assert calls["matmul"] == 0 and calls["add"] <= len(pivots)
+        calls.update(matmul=0, add=0)
+        assert gf_rank(f, mat) == len(pivots)
+        assert calls["add"] <= len(pivots)
 
 
 @pytest.mark.parametrize("q", [3, 4, 9, 257])

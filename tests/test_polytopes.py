@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from toricode.polytopes import (
@@ -132,6 +133,13 @@ def test_from_vertices_rejects_bad_input():
         from_vertices(2, [])
     with pytest.raises(ValueError):
         from_vertices(2, [(1, 2, 3)])
+
+
+@pytest.mark.parametrize("bad", [True, np.True_, 1.5, "1"], ids=["bool", "numpy bool", "float", "str"])
+def test_coordinates_must_be_integers(bad):
+    with pytest.raises(ValueError, match=r"^a coordinate must be an integer, got "):
+        from_vertices(1, [(0,), (bad,)])
+    assert from_vertices(1, [(np.uint8(0),), (np.int64(2),)]).vertices == ((0,), (2,))
 
 
 def test_contains_point_matches_barycentric_oracle():
