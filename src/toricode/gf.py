@@ -149,7 +149,8 @@ def _find_modulus(p: int, m: int) -> tuple[int, ...]:
 class FieldSpec:
     """GF(p^m) with a fixed modulus, generator and log/antilog tables.
 
-    Immutable after construction; safe to share across workers.
+    The tables are fixed at construction and `arith` is built on first
+    use and cached; `make_field` keeps one instance per (p, m).
     """
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
@@ -316,8 +317,10 @@ def make_field(p: int, m: int = 1) -> FieldSpec:
     if m < 1:
         raise ValueError(f"extension degree must be positive, got {m}")
     check_field_cap(p, m)
-    if as_prime_power(p) != (p, 1):
-        raise ValueError(f"{p} is not prime")
+    pm = as_prime_power(p)
+    if pm != (p, 1):
+        hint = f"; GF({p**m}) is given as {pm[0]}^{pm[1] * m}" if pm else ""
+        raise ValueError(f"{p} is not prime{hint}")
     key = (p, m)
     if key not in _FIELD_CACHE:
         _FIELD_CACHE[key] = FieldSpec(p, m, _find_modulus(p, m))

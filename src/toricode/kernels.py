@@ -38,8 +38,8 @@ ISD level scan: for each support (rows r_0 < ... < r_{w-1}) the value on
 r_0 is 1 and the values on r_1..r_{w-1} run over 1..q-1 lexicographically
 (last fastest); the pattern index is that mixed-radix number.
 
-Both kernels return the minimum weight and the first index attaining it,
-compared as (weight, index), so results do not depend on block or step
+Both kernels return the least (weight, index), an ISD index being the pair
+(support index, pattern index), so results do not depend on block or step
 sizes. `work_count` in `mindist` is computed from the message counts.
 
 Tables
@@ -73,9 +73,7 @@ from level 3 on when the table of every pair's (q-1)^2 value patterns fits
 `row_pair_table`, and passes it to every level; a level with s = 1 makes
 one symbol-major copy of the rows that can end a support, the last-row
 suffixes. A prefix's heads are value 1 on r_0 and every pattern on
-the rest of the prefix. Pattern index = head index * (q-1)^s + suffix
-pattern, so a per-support argmin over heads (outer) and suffix patterns
-(inner) recovers the first minimum.
+the rest of the prefix.
 
 The supports of one call are every w-subset of range(k) in `combinations`
 order, so those sharing a prefix are contiguous, and a prefix ending at
@@ -87,14 +85,22 @@ most a. So every prefix that ends at row a has the same suffix block: the
 last m = C(k-1-a, s) columns of that table, a view.
 
 The kernel therefore scans one batch per last row a: the heads of all the
-prefixes ending at a against that one block. A batch is cut into tiles of
-whole prefixes, or of `step` heads of one prefix (the last tile shorter)
-when a prefix alone exceeds the step budget `_STEP_BYTES` of uint8
-comparisons. Each (prefix, support) keeps its minimum across the tiles,
-and only a strictly lower weight replaces it, so the tiling never changes
-the first minimum. The heads are built apart from that tiling, a step at a
-time: for as many whole tiles of prefixes as fit `_STEP_BYTES`, or for one
-prefix when its heads alone exceed it.
+prefixes ending at a against that one block. Heads are built for as many
+prefixes as fit `_STEP_BYTES` (at least one), and compared in tiles of
+`step` of their rows, the most that fit `_STEP_BYTES` against the block,
+with no regard for prefix boundaries. A tile whose minimum is above the
+best weight is skipped after one `min`. In any other, head h of prefix i
+against pattern p of its j-th suffix is support first(i) + j, first(i) the
+index of the prefix's first support, and pattern h (q-1)^s + p; the least
+(weight, support, pattern) key of the tile's minima replaces the best one
+if less. So the kernel returns the level's least key whatever the tiling.
+
+The key, not scan order, breaks ties: a tile's flat order is (prefix,
+head, suffix, pattern), and batches do not come in `combinations` order.
+At k = 5, level 3, with last-row suffixes, batch a = 2 holds supports 3,
+4, 6 and 7 and batch a = 3 holds supports 5, 8 and 9, so support 5 is
+scanned after support 6, which "a strictly lower weight replaces, in scan
+order" would report when both attain the minimum.
 """
 
 from __future__ import annotations
@@ -232,24 +238,25 @@ def row_pair_table(scaled, ar):
 
 
 def isd_level_scan(scaled, ar, supports, pairs):
-    """Per-support minimum weight over all nonzero value patterns.
+    """The level's first minimum over all nonzero value patterns.
 
     `scaled` holds the rows of a systematic basis on the non-pivot columns
     only; the weight on the pivot columns is the support size and is added
     by the kernel. `supports` must be every w-subset of range(k) in
     `combinations` order (see Prefix batching). `pairs` is
     `row_pair_table(scaled, ar)`: when it is a table, levels from 3 on take
-    row-pair suffixes, and when it is None, last-row ones. Returns
-    (weights, pattern indices), one per support.
+    row-pair suffixes, and when it is None, last-row ones. Returns the
+    least (weight, support index, pattern index) as Python ints, a key
+    since batches do not come in `combinations` order (see Prefix batching).
     """
-    supports = np.ascontiguousarray(supports, dtype=np.int64)
-    n_sup, w = supports.shape
+    w = supports.shape[1]
     k, q, n_cols = scaled.shape
     acc = np.min_scalar_type(n_cols)
     rows = scaled[:, 1:]  # rows[i, v - 1] = v g_i
     if w == 1:
         weights = np.count_nonzero(rows[supports[:, 0], 0], axis=1)
-        return w + weights, np.zeros(n_sup, dtype=np.int64)
+        i = int(weights.argmin())
+        return w + int(weights[i]), i, 0
     # suffix = the last s rows of a support; suffixes[:, i] holds the value
     # patterns of the i-th s-subset in combinations order, in pattern
     # order: of range(k) for pairs, of rows w-1..k-1 (the rows that can
@@ -261,55 +268,33 @@ def isd_level_scan(scaled, ar, supports, pairs):
     neg = ar.neg[1:]  # scaled[i, neg[v - 1]] = -(v g_i)
     n_pat = (q - 1) ** s
     n_head = (q - 1) ** (w - s - 1)  # heads per prefix
-    # supports grouped by the last row of their prefix, each group in
-    # combinations order: prefix by prefix, m supports each (see Prefix batching)
-    prefixes = supports[:, :-s]
-    last = prefixes[:, -1]
-    order = np.argsort(last, kind="stable")
-    grouped = prefixes[order]
-    found_w, found_j = [], []
-    lo = 0
-    for a, count in enumerate(np.bincount(last, minlength=k).tolist()):
-        if not count:
-            continue
+    last = supports[:, -s - 1]  # the last row of each support's prefix
+    best = (n_cols + 1, 0, 0)  # (weight off the pivots, support, pattern)
+    for a in range(w - s - 1, k - s):
+        # each prefix ending at row a, by its first support (see Prefix batching)
         m = comb(k - 1 - a, s)
-        batch = grouped[lo : lo + count : m]  # the prefixes ending at row a
-        lo += count
+        first = np.flatnonzero(last == a)[::m]
         block = suffixes[:, -m:].reshape(n_cols, m * n_pat)
-        # comparison tiles of whole prefixes, or of `step` heads of one
-        # prefix, that fit _STEP_BYTES; heads built for as many tiles as fit
+        # tiles of `step` head rows; heads built for as many prefixes as fit
         step = max(1, _STEP_BYTES // max(1, block.size))
-        n_grp = max(1, step // n_head)
-        n_build = n_grp * max(1, _STEP_BYTES // max(1, n_grp * n_head * n_cols))
-        for b0 in range(0, len(batch), n_build):
-            # negated heads (prefixes, heads, N), 1 on the first row and
+        n_build = max(1, _STEP_BYTES // max(1, n_head * n_cols))
+        for b0 in range(0, len(first), n_build):
+            # negated heads (prefixes x heads, N'), 1 on the first row and
             # every pattern after; -(v g) = (-v) g
-            pre = batch[b0 : b0 + n_build]
-            tables = [scaled[pre[:, i, None], neg] for i in range(1, pre.shape[1])]
+            pre = supports[first[b0 : b0 + n_build], : w - s]
+            tables = [scaled[pre[:, i, None], neg] for i in range(1, w - s)]
             heads = _combos(ar, [scaled[pre[:, :1], neg[0]], *tables])
-            for g0 in range(0, len(pre), n_grp):
-                group = heads[g0 : g0 + n_grp]
-                n_pre = len(group)
-                for h0 in range(0, n_head, step):
-                    tile = group[:, h0 : h0 + step]
-                    tile = tile.reshape(n_pre * tile.shape[1], n_cols)  # no -1: N' may be 0
-                    weights = _weights(block, np.ascontiguousarray(tile.T), acc)
-                    # (prefixes, heads, supports, suffix patterns) -> per
-                    # prefix and support, heads outer and suffix patterns inner
-                    weights = weights.reshape(n_pre, -1, m, n_pat).transpose(0, 2, 1, 3)
-                    weights = weights.reshape(n_pre, m, -1)
-                    wmin = weights.min(axis=2)
-                    j = h0 * n_pat + weights.argmin(axis=2)
-                    if h0:  # a later tile of the same prefix
-                        better = wmin < best_w
-                        best_w = np.where(better, wmin, best_w)
-                        best_j = np.where(better, j, best_j)
-                    else:
-                        best_w, best_j = wmin, j
-                found_w.append(best_w.ravel())
-                found_j.append(best_j.ravel())
-    out_w = np.empty(n_sup, dtype=np.int64)
-    out_idx = np.empty(n_sup, dtype=np.int64)
-    out_w[order] = w + np.concatenate(found_w).astype(np.int64)
-    out_idx[order] = np.concatenate(found_j)
-    return out_w, out_idx
+            heads = heads.reshape(len(pre) * n_head, n_cols)  # no -1: N' may be 0
+            for r0 in range(0, len(heads), step):
+                weights = _weights(block, np.ascontiguousarray(heads[r0 : r0 + step].T), acc)
+                low = int(weights.min())
+                if low > best[0]:
+                    continue
+                # the tile's minima as (support, pattern) keys (see Prefix batching)
+                r, c = np.nonzero(weights == low)
+                i, h = np.divmod(r0 + r, n_head)
+                j, p = np.divmod(c, n_pat)
+                sup, pat = first[b0 + i] + j, h * n_pat + p
+                t = int(np.argmin(sup * (n_head * n_pat) + pat))
+                best = min(best, (low, int(sup[t]), int(pat[t])))
+    return w + best[0], best[1], best[2]

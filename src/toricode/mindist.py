@@ -208,12 +208,11 @@ def min_distance_isd(
         supports = np.array(list(combinations(range(k), level)), dtype=np.int64)
         if level == 3:
             pairs = kernels.row_pair_table(scaled, spec.arith)
-        out_w, out_idx = kernels.isd_level_scan(scaled, spec.arith, supports, pairs)
+        weight, s_best, pattern = kernels.isd_level_scan(scaled, spec.arith, supports, pairs)
         work += level_messages
-        s_best = int(np.argmin(out_w))
-        if int(out_w[s_best]) < ub:
-            ub = int(out_w[s_best])
-            best = (supports[s_best], int(out_idx[s_best]))
+        if weight < ub:
+            ub = weight
+            best = (supports[s_best], pattern)
         lb = -(-n_block * (level + 1) // k)
         if lb >= ub:
             exact = True

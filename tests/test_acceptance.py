@@ -45,6 +45,7 @@ from toricode.polytopes import (
     pyramid,
     realize_recipe,
     standard_simplex,
+    unimodular_transform,
 )
 
 TRIANGLE = [(1, 0), (0, 3), (3, 1)]
@@ -267,6 +268,49 @@ def test_recipe_grid_over_extension_fields(p, m, exact, capped):
             assert result.lower <= d_formula <= result.upper, (label, result.lower, result.upper)
         counts[result.exact] += 1
     assert (counts[True], counts[False]) == (exact, capped)
+
+
+def _random_unimodular(rng, moves=3):
+    """A 2 x 2 integer matrix of determinant +-1: the identity after random
+    row moves, each a shear by +-1, a swap or a negation."""
+    u = [[1, 0], [0, 1]]
+    for _ in range(moves):
+        i, j = rng.sample(range(2), 2)
+        move = rng.randrange(3)
+        if move == 0:
+            c = rng.choice((-1, 1))
+            u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+        elif move == 1:
+            u[i], u[j] = u[j], u[i]
+        else:
+            u[i] = [-a for a in u[i]]
+    return u
+
+
+def test_minimum_distance_is_unimodular_invariant():
+    """d(P) = d(U P + t) for U in GL_2(Z): the monomial map x -> x^U
+    permutes the torus and x^t scales every coordinate by a nonzero value,
+    so the two codes have the same weights. Random small polygons are
+    mapped, translated back into [0, q-2]^2 where they fit, and searched
+    exactly over a prime, a 2^m and an odd p^m field."""
+    rng = random.Random(20261022)
+    pairs = 0
+    for p, m in ((5, 1), (7, 1), (2, 3), (3, 2)):
+        field = make_field(p, m)
+        for _ in range(24):
+            points = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(rng.randint(2, 4))]
+            poly = from_vertices(2, points)
+            u = _random_unimodular(rng)
+            mapped = unimodular_transform(poly, u, (0, 0)).vertices
+            shift = [-min(v[i] for v in mapped) for i in range(2)]
+            image = unimodular_transform(poly, u, shift)
+            if not image.fits_in_cube(field.q):
+                continue
+            a = min_distance(build_code(poly, field))
+            b = min_distance(build_code(image, field))
+            assert a.exact and b.exact and a.d == b.d, (field.q, poly, image, a.d, b.d)
+            pairs += 1
+    assert pairs == 89
 
 
 def test_next_dimension_recipe_grid_gf4():

@@ -207,6 +207,12 @@ def test_malformed_field_is_one_error_line(capsys, triangle_path, field):
     assert err == f"error: bad field '{field}'; expected p or p^m\n"
 
 
+def test_prime_power_field_names_the_accepted_form(capsys, triangle_path):
+    code, out, err = run_cli(capsys, ["mindist", "--field", "4", "--polytope", triangle_path])
+    assert code == 2 and out == ""
+    assert err == "error: 4 is not prime; GF(4) is given as 2^2\n"
+
+
 def test_table_bad_range(capsys, recipe_path):
     code, _, err = run_cli(capsys, ["table", "--field-range", "9", "--recipe", recipe_path])
     assert code == 2 and "field-range" in err

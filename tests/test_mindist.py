@@ -529,9 +529,9 @@ def test_isd_level_scan_matches_reference(p, m, k, n_cols, split_step, monkeypat
         supports = list(itertools.combinations(range(k), level))
         ref = [reference_min(scaled, add_t, support_patterns(s, k, q)) for s in supports]
         levels.append((supports, ref))
-    # the default step uses row-pair suffixes from level 3 on and whole
-    # prefixes per tile; a step of 1 forces last-row suffixes (no pair
-    # table) and one head per tile, so the argmin carries across tiles
+    # the default step uses row-pair suffixes from level 3 on and many
+    # heads per tile; a step of 1 forces last-row suffixes (no pair table)
+    # and one head per tile, so the minimum carries across tiles
     default = kernels._STEP_BYTES
     steps = (default, 1) + ((split_step,) if split_step else ())
     for step in steps:
@@ -539,11 +539,11 @@ def test_isd_level_scan_matches_reference(p, m, k, n_cols, split_step, monkeypat
         pairs = kernels.row_pair_table(scaled, field.arith)  # once, as a search does
         assert (pairs is not None) == (step == default), step
         for supports, ref in levels:
-            out_w, out_idx = kernels.isd_level_scan(scaled, field.arith, np.array(supports), pairs)
-            # the support rows are the pivot columns each message hits
-            want = [(w + len(s), j) for s, (w, j) in zip(supports, ref)]
-            got = list(zip(out_w.tolist(), out_idx.tolist()))
-            assert got == want, step
+            got = kernels.isd_level_scan(scaled, field.arith, np.array(supports), pairs)
+            # the support rows are the pivot columns each message hits; the
+            # level's first minimum is the least (weight, support, pattern)
+            want = min((w + len(s), i, j) for i, (s, (w, j)) in enumerate(zip(supports, ref)))
+            assert got == want and all(type(x) is int for x in got), step
     # at the default step every level from 3 on compares against views of
     # the pair table, the row-pair suffix
     monkeypatch.setattr(kernels, "_STEP_BYTES", default)
@@ -574,6 +574,23 @@ def test_isd_level_scan_matches_reference(p, m, k, n_cols, split_step, monkeypat
         pairs = kernels.row_pair_table(scaled, field.arith)
         kernels.isd_level_scan(scaled, field.arith, np.array([range(k)]), pairs)
         assert len(tiles) > 1 and sum(tiles) == (q - 1) ** (k - 2), tiles
+
+
+def test_isd_level_scan_ties_across_batches():
+    """At k = 5, level 3, last-row suffixes, batch a = 2 (supports 3, 4, 6,
+    7) is scanned before batch a = 3 (supports 5, 8, 9). With g0 = -(g3 +
+    g4) and g1 = -(g2 + g3), supports 5 = (0, 3, 4) and 6 = (1, 2, 3) both
+    hold a zero codeword off the pivots and supports 0 to 4 hold none, so
+    the first minimum is support 5 although support 6 is scanned first."""
+    field = make_field(3)
+    g2, g3, g4 = np.array([[1, 0, 0, 1, 2, 1], [0, 1, 0, 2, 1, 1], [0, 0, 1, 1, 1, 2]])
+    generator = np.array([-(g3 + g4), -(g2 + g3), g2, g3, g4]) % 3
+    scaled = kernels.scaled_rows(field, generator)
+    supports = np.array(list(itertools.combinations(range(5), 3)))
+    pairs = kernels.row_pair_table(scaled, field.arith)
+    assert pairs is not None
+    for table in (None, pairs):
+        assert kernels.isd_level_scan(scaled, field.arith, supports, table) == (3, 5, 0)
 
 
 @pytest.mark.parametrize("step", [1 << 20, 3000, 200])
@@ -625,8 +642,7 @@ def test_isd_level_scan_weight_beyond_accumulator():
     generator = np.zeros((2, 255), dtype=np.int64)
     generator[0] = 1  # every message on rows {0, 1} is nonzero everywhere
     scaled = kernels.scaled_rows(field, generator)
-    out_w, out_idx = kernels.isd_level_scan(scaled, field.arith, np.array([(0, 1)]), None)
-    assert (out_w.tolist(), out_idx.tolist()) == ([257], [0])
+    assert kernels.isd_level_scan(scaled, field.arith, np.array([(0, 1)]), None) == (257, 0, 0)
 
 
 @pytest.mark.parametrize("p,m", [(5, 1), (2, 2), (3, 2)], ids=["GF(5)", "GF(4)", "GF(9)"])
@@ -647,8 +663,7 @@ def test_isd_when_every_column_is_a_pivot(p, m):
     assert pairs.shape == (0, comb(k, 2), (q - 1) ** 2)
     for level in range(1, k + 1):
         supports = np.array(list(itertools.combinations(range(k), level)))
-        out_w, out_idx = kernels.isd_level_scan(scaled, field.arith, supports, pairs)
-        assert (out_w == level).all() and (out_idx == 0).all(), level
+        assert kernels.isd_level_scan(scaled, field.arith, supports, pairs) == (level, 0, 0), level
 
 
 def test_isd_on_the_cube_where_every_column_is_a_pivot():
